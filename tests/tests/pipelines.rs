@@ -176,3 +176,66 @@ fn round_complexity_shapes_hold() {
     // But far from linear in W.
     assert!(r_large < r_small * 64, "scaling looks linear in W");
 }
+
+/// FNV-1a over a sequence of `u64`s, byte by byte (little-endian).
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in values {
+        for byte in x.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins the deterministic coloring pipeline and Algorithm 3 bit for bit:
+/// the colour assignment, the round split, the message count and the
+/// resulting independent-set weight. Any change to the Linial schedule,
+/// the Kuhn–Wattenhofer round order or the colour each node picks moves
+/// at least one of these values.
+#[test]
+fn coloring_pipeline_and_alg3_golden() {
+    use congest_coloring::deterministic_delta_plus_one;
+    use congest_graph::generators;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    let mut rng = SmallRng::seed_from_u64(1201);
+    let mut graphs = vec![
+        ("gnp-1000", generators::gnp(1000, 8.0 / 1000.0, &mut rng)),
+        ("path-5000", generators::path(5000)),
+        ("star-64", generators::star(64)),
+        ("complete-10", generators::complete(10)),
+    ];
+    for (_, g) in graphs.iter_mut() {
+        generators::randomize_node_weights(g, 1000, &mut rng);
+    }
+    // (name, colour hash, rounds, linial, reduction, messages) for the
+    // coloring; (rounds, messages, weight) for alg3.
+    type Pin = (&'static str, u64, usize, usize, usize, u64, usize, u64, u64);
+    #[rustfmt::skip]
+    let expected: [Pin; 4] = [
+        ("gnp-1000",    0x2dc0_1a27_7609_a977, 103, 1, 102, 30179, 113, 47587,  169883),
+        ("path-5000",   0x090d_2e3e_48a1_4687,  14, 2,  12, 35446,  20, 59740, 1376986),
+        ("star-64",     0x310e_42af_98fb_7125,   2, 1,   1,     0,   5,   315,   31707),
+        ("complete-10", 0x1334_32d1_6e23_d744,   2, 1,   1,     0,   9,   192,     996),
+    ];
+    let mut actual = Vec::new();
+    for (name, g) in &graphs {
+        let run = deterministic_delta_plus_one(g);
+        let r3 = alg3(g);
+        actual.push((
+            *name,
+            fnv1a(run.colors.iter().map(|&c| c as u64)),
+            run.rounds,
+            run.linial_rounds,
+            run.reduction_rounds,
+            run.stats.total_messages,
+            r3.rounds,
+            r3.stats.total_messages,
+            r3.independent_set.weight(g),
+        ));
+    }
+    assert_eq!(actual, expected);
+}
