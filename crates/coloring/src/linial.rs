@@ -10,6 +10,8 @@
 //! Iterating reaches `O(Δ² log²(Δ))`-ish many colors after `O(log* n)`
 //! rounds, the classic bound.
 
+use std::sync::Arc;
+
 use congest_sim::{bits_for_value, Context, Inbox, Message, PackedMsg, Protocol, Status};
 
 use crate::primes::next_prime;
@@ -113,19 +115,24 @@ impl PackedMsg for ColorMsg {
 /// the schedule is empty).
 #[derive(Clone, Debug)]
 pub struct LinialColoring {
-    schedule: Vec<LinialStep>,
+    schedule: Arc<[LinialStep]>,
     color: u64,
     step: usize,
+    /// Colors heard this round; sized to the degree once, in `init`.
+    neighbor_colors: Vec<u64>,
 }
 
 impl LinialColoring {
-    /// Creates an instance from a precomputed [`linial_schedule`] (shared
-    /// by all nodes — it depends only on the globally known `n` and `Δ`).
-    pub fn new(schedule: Vec<LinialStep>) -> Self {
+    /// Creates an instance from a precomputed [`linial_schedule`]. The
+    /// schedule depends only on the globally known `n` and `Δ`, so all
+    /// nodes can share one copy: pass clones of one `Arc<[LinialStep]>`.
+    /// A `Vec` is accepted too, for callers that run a single instance.
+    pub fn new(schedule: impl Into<Arc<[LinialStep]>>) -> Self {
         LinialColoring {
-            schedule,
+            schedule: schedule.into(),
             color: 0,
             step: 0,
+            neighbor_colors: Vec::new(),
         }
     }
 
@@ -175,6 +182,7 @@ impl Protocol for LinialColoring {
 
     fn init(&mut self, ctx: &mut Context<'_, ColorMsg>) {
         self.color = u64::from(ctx.id().0);
+        self.neighbor_colors = Vec::with_capacity(ctx.degree());
         if !self.schedule.is_empty() {
             let c = self.color;
             ctx.broadcast(ColorMsg(c));
@@ -190,8 +198,10 @@ impl Protocol for LinialColoring {
             return Status::Halt(self.color as usize);
         }
         let step = self.schedule[self.step];
-        let neighbor_colors: Vec<u64> = inbox.iter().map(|(_, msg)| msg.0).collect();
-        self.color = self.apply_step(step, &neighbor_colors);
+        self.neighbor_colors.clear();
+        self.neighbor_colors
+            .extend(inbox.iter().map(|(_, msg)| msg.0));
+        self.color = self.apply_step(step, &self.neighbor_colors);
         self.step += 1;
         if self.step == self.schedule.len() {
             Status::Halt(self.color as usize)

@@ -6,10 +6,12 @@
 //! \[BEK14, Bar15\] that the paper's Algorithm 3 cites; see DESIGN.md for
 //! the substitution rationale.
 
+use std::sync::Arc;
+
 use congest_graph::Graph;
 use congest_sim::{run_protocol, RunStats, SimConfig};
 
-use crate::{linial_schedule, KwReduction, LinialColoring};
+use crate::{linial_schedule, KwReduction, LinialColoring, LinialStep};
 
 /// Result of a composed coloring run.
 #[derive(Clone, Debug)]
@@ -34,13 +36,13 @@ pub struct ColoringRun {
 /// Panics if either stage fails to complete within the engine's round cap
 /// (cannot happen: both schedules are finite and known in advance).
 pub fn deterministic_delta_plus_one(g: &Graph) -> ColoringRun {
-    let schedule = linial_schedule(g.num_nodes(), g.max_degree());
+    let schedule: Arc<[LinialStep]> = linial_schedule(g.num_nodes(), g.max_degree()).into();
     let after_linial = LinialColoring::final_colors(g.num_nodes(), &schedule);
 
     let linial = run_protocol(
         g,
         SimConfig::congest_for(g),
-        |_| LinialColoring::new(schedule.clone()),
+        |_| LinialColoring::new(Arc::clone(&schedule)),
         0,
     );
     assert!(linial.completed, "Linial stage must complete");

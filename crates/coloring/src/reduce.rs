@@ -139,24 +139,66 @@ struct KwRound {
     rebase: bool,
 }
 
-/// Computes the global KW schedule for `num_colors` colors at palette
-/// `Δ+1`. Every node derives the identical schedule from `(C, Δ)`.
-fn kw_schedule(num_colors: usize, palette: usize) -> Vec<KwRound> {
-    let mut plan = Vec::new();
-    let mut c = num_colors;
-    while c > palette {
+/// Position in the global KW schedule for `C` colors at palette `Δ+1`.
+///
+/// Every node derives the identical schedule from `(C, Δ)`. The cursor
+/// yields it one [`KwRound`] at a time in constant space, so no node
+/// holds a copy sized by the schedule length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct KwCursor {
+    /// Color count of the current halving phase.
+    colors: usize,
+    /// Block size (`2(Δ+1)`).
+    block: usize,
+    /// Block offset retiring next.
+    offset: usize,
+    /// One past the last retiring offset of this phase (`min(block, colors)`).
+    phase_end: usize,
+}
+
+impl KwCursor {
+    fn new(num_colors: usize, palette: usize) -> Self {
         let block = 2 * palette;
-        let max_offset = block.min(c);
-        for offset in palette..max_offset {
-            plan.push(KwRound {
-                block,
-                offset,
-                rebase: offset + 1 == max_offset,
-            });
+        KwCursor {
+            colors: num_colors,
+            block,
+            offset: palette,
+            phase_end: block.min(num_colors),
         }
-        c = c.div_ceil(block) * palette;
     }
-    plan
+
+    /// Whether the schedule is exhausted (at most `Δ+1` colors remain).
+    fn is_done(&self) -> bool {
+        self.colors <= self.block / 2
+    }
+}
+
+impl Iterator for KwCursor {
+    type Item = KwRound;
+
+    fn next(&mut self) -> Option<KwRound> {
+        if self.is_done() {
+            return None;
+        }
+        let round = KwRound {
+            block: self.block,
+            offset: self.offset,
+            rebase: self.offset + 1 == self.phase_end,
+        };
+        if round.rebase {
+            let palette = self.block / 2;
+            *self = KwCursor::new(self.colors.div_ceil(self.block) * palette, palette);
+        } else {
+            self.offset += 1;
+        }
+        Some(round)
+    }
+}
+
+/// The whole KW schedule for `num_colors` colors at palette `Δ+1`.
+#[cfg(test)]
+fn kw_schedule(num_colors: usize, palette: usize) -> Vec<KwRound> {
+    KwCursor::new(num_colors, palette).collect()
 }
 
 /// Batched Kuhn–Wattenhofer reduction to `Δ+1` colors.
@@ -165,7 +207,8 @@ pub struct KwReduction {
     my_color: usize,
     num_colors: usize,
     neighbor_colors: Vec<usize>,
-    plan: Vec<KwRound>,
+    /// The rounds still to run; set in `init`, once `Δ` is known.
+    cursor: KwCursor,
 }
 
 impl KwReduction {
@@ -180,14 +223,14 @@ impl KwReduction {
             my_color: color,
             num_colors,
             neighbor_colors: Vec::new(),
-            plan: Vec::new(),
+            cursor: KwCursor::new(0, 0),
         }
     }
 
     /// Number of communication rounds the reduction will take for the
     /// given parameters (excluding the initial exchange round).
     pub fn scheduled_rounds(num_colors: usize, palette: usize) -> usize {
-        kw_schedule(num_colors, palette).len()
+        KwCursor::new(num_colors, palette).count()
     }
 
     fn rebase(color: usize, block: usize, palette: usize) -> usize {
@@ -201,9 +244,9 @@ impl Protocol for KwReduction {
 
     fn init(&mut self, ctx: &mut Context<'_, RecolorMsg>) {
         let palette = ctx.info().max_degree + 1;
-        self.plan = kw_schedule(self.num_colors, palette);
+        self.cursor = KwCursor::new(self.num_colors, palette);
         self.neighbor_colors = vec![usize::MAX; ctx.degree()];
-        if !self.plan.is_empty() {
+        if !self.cursor.is_done() {
             let c = self.my_color as u64;
             ctx.broadcast(RecolorMsg(c));
         }
@@ -214,19 +257,18 @@ impl Protocol for KwReduction {
         ctx: &mut Context<'_, RecolorMsg>,
         inbox: Inbox<'_, RecolorMsg>,
     ) -> Status<usize> {
-        if self.plan.is_empty() {
+        let Some(KwRound {
+            block,
+            offset,
+            rebase,
+        }) = self.cursor.next()
+        else {
             return Status::Halt(self.my_color);
-        }
+        };
         let palette = ctx.info().max_degree + 1;
         for (port, msg) in inbox {
             self.neighbor_colors[port] = msg.0 as usize;
         }
-        let idx = ctx.round() - 1;
-        let KwRound {
-            block,
-            offset,
-            rebase,
-        } = self.plan[idx];
         let mut announced = false;
         if self.my_color % block == offset {
             let base = (self.my_color / block) * block;
@@ -245,7 +287,7 @@ impl Protocol for KwReduction {
             let c = self.my_color as u64;
             ctx.broadcast(RecolorMsg(c));
         }
-        if idx + 1 == self.plan.len() {
+        if self.cursor.is_done() {
             Status::Halt(self.my_color)
         } else {
             Status::Active
@@ -284,6 +326,53 @@ mod tests {
         }
         assert_eq!(plan.len(), rounds);
         assert!(plan.iter().filter(|r| r.rebase).count() >= 2);
+    }
+
+    /// The materialized schedule the cursor replaced, kept verbatim as the
+    /// reference it must reproduce.
+    fn materialized_kw_schedule(num_colors: usize, palette: usize) -> Vec<KwRound> {
+        let mut plan = Vec::new();
+        let mut c = num_colors;
+        while c > palette {
+            let block = 2 * palette;
+            let max_offset = block.min(c);
+            for offset in palette..max_offset {
+                plan.push(KwRound {
+                    block,
+                    offset,
+                    rebase: offset + 1 == max_offset,
+                });
+            }
+            c = c.div_ceil(block) * palette;
+        }
+        plan
+    }
+
+    #[test]
+    fn kw_cursor_matches_materialized_schedule() {
+        for palette in 1..=64 {
+            for num_colors in 0..=4096 {
+                let expected = materialized_kw_schedule(num_colors, palette);
+                let mut cursor = KwCursor::new(num_colors, palette);
+                for (i, want) in expected.iter().enumerate() {
+                    assert!(
+                        !cursor.is_done(),
+                        "C={num_colors} Δ+1={palette}: done at {i}"
+                    );
+                    assert_eq!(
+                        cursor.next().as_ref(),
+                        Some(want),
+                        "C={num_colors} Δ+1={palette} round {i}"
+                    );
+                }
+                assert!(cursor.is_done(), "C={num_colors} Δ+1={palette}: runs long");
+                assert_eq!(cursor.next(), None);
+                assert_eq!(
+                    KwReduction::scheduled_rounds(num_colors, palette),
+                    expected.len()
+                );
+            }
+        }
     }
 
     #[test]

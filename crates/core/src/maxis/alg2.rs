@@ -272,7 +272,7 @@ impl Protocol for Alg2Node {
                         layer,
                         prio: self.my_prio,
                     };
-                    let gone = self.gone.clone();
+                    let gone = &self.gone;
                     ctx.broadcast_filtered(msg, |p| !gone[p]);
                 }
                 MisBox::Ghaffari { k } => {
@@ -289,7 +289,7 @@ impl Protocol for Alg2Node {
                         pexp: self.j,
                         marked: self.marked,
                     };
-                    let gone = self.gone.clone();
+                    let gone = &self.gone;
                     ctx.broadcast_filtered(msg, |p| !gone[p]);
                 }
             }
@@ -344,7 +344,7 @@ impl Protocol for Alg2Node {
             };
             if won {
                 let amount = self.w as u64;
-                let gone = self.gone.clone();
+                let gone = &self.gone;
                 ctx.broadcast_filtered(Alg2Msg::Reduce(amount), |p| !gone[p]);
                 self.w = 0;
                 self.state = NodeState::Candidate;

@@ -29,7 +29,7 @@ fn message_types_fit_the_plane_word() {
         "Alg3Msg declares {} packed bits (plane word is {PLANE_WORD_BITS})",
         <congest_approx::Alg3Msg as PackedMsg>::BITS
     );
-    // crates/coloring/src/linial.rs:90
+    // crates/coloring/src/linial.rs:92
     assert!(
         <congest_coloring::ColorMsg as PackedMsg>::BITS <= PLANE_WORD_BITS,
         "ColorMsg declares {} packed bits (plane word is {PLANE_WORD_BITS})",
