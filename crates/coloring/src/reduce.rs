@@ -144,7 +144,7 @@ struct KwRound {
 /// Every node derives the identical schedule from `(C, Δ)`. The cursor
 /// yields it one [`KwRound`] at a time in constant space, so no node
 /// holds a copy sized by the schedule length.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct KwCursor {
     /// Color count of the current halving phase.
     colors: usize,
