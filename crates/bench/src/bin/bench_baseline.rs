@@ -148,12 +148,12 @@ fn record_for(g: &Graph, family: &str, n: usize, threads: usize, samples: usize)
     format!(
         "  {{\n    \"bench\": \"engine_gnp_luby\",\n    \"graph\": {{ \"family\": \"{family}\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"LubyMis\",\n    \"samples\": {samples},\n    \"threads\": {threads},\n    \"host_threads\": {host},\n    \"plane_bytes\": {plane_bytes},\n    \"median_ns\": {{\n      \"build\": {build_ns},\n      \"run\": {run_ns},\n      \"run_parallel\": {run_parallel_ns}\n    }}\n  }}",
         m = g.num_edges(),
-        host = rayon::current_num_threads(),
+        host = host_threads(),
     )
 }
 
-/// One end-to-end ride-along record (driver latency, sequential
-/// executor) for a named protocol on `g`.
+/// One end-to-end ride-along record (driver latency, on the drivers'
+/// default thread count) for a named protocol on `g`.
 fn ride_along_record(
     g: &Graph,
     family: &str,
@@ -163,6 +163,9 @@ fn ride_along_record(
     mut total: impl FnMut(u64),
 ) -> String {
     let p = 8.0 / n as f64;
+    // Every ride-along driver runs on `SimConfig::congest_for`'s default
+    // thread count.
+    let threads = SimConfig::congest_for(g).threads_for(n);
     let total_ns = {
         let mut seed = 0u64;
         measure(samples, || {
@@ -173,10 +176,10 @@ fn ride_along_record(
         })
     };
     format!(
-        "  {{\n    \"bench\": \"protocol_gnp_{name}\",\n    \"graph\": {{ \"family\": \"{family}\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"samples\": {samples},\n    \"threads\": 1,\n    \"host_threads\": {host},\n    \"median_ns\": {{\n      \"total\": {total_ns}\n    }}\n  }}",
+        "  {{\n    \"bench\": \"protocol_gnp_{name}\",\n    \"graph\": {{ \"family\": \"{family}\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"samples\": {samples},\n    \"threads\": {threads},\n    \"host_threads\": {host},\n    \"median_ns\": {{\n      \"total\": {total_ns}\n    }}\n  }}",
         name = protocol.to_lowercase(),
         m = g.num_edges(),
-        host = rayon::current_num_threads(),
+        host = host_threads(),
     )
 }
 
@@ -246,9 +249,12 @@ fn churn_record(
          recompute {recompute_rounds} — repair must be strictly cheaper"
     );
     format!(
-        "  {{\n    \"bench\": \"{bench}\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"k_flips\": {k},\n    \"samples\": {samples},\n    \"threads\": 1,\n    \"host_threads\": {host},\n    \"rounds\": {{\n      \"repair\": {repair_rounds},\n      \"recompute\": {recompute_rounds}\n    }},\n    \"median_ns\": {{\n      \"repair\": {repair_ns},\n      \"recompute\": {recompute_ns}\n    }}\n  }}",
+        "  {{\n    \"bench\": \"{bench}\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"k_flips\": {k},\n    \"samples\": {samples},\n    \"threads\": {{\n      \"repair\": 1,\n      \"recompute\": {recompute_threads}\n    }},\n    \"host_threads\": {host},\n    \"rounds\": {{\n      \"repair\": {repair_rounds},\n      \"recompute\": {recompute_rounds}\n    }},\n    \"median_ns\": {{\n      \"repair\": {repair_ns},\n      \"recompute\": {recompute_ns}\n    }}\n  }}",
         m = g2.num_edges(),
-        host = rayon::current_num_threads(),
+        host = host_threads(),
+        // Repairs pass `parallel: false`; recomputation runs on the
+        // drivers' default thread count.
+        recompute_threads = SimConfig::congest_for(g2).threads_for(n),
     )
 }
 
@@ -299,6 +305,11 @@ fn churn_records(samples: usize) -> Vec<String> {
     records
 }
 
+/// Threads the host offers (`available_parallelism`).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Parses a comma-separated list of positive integers.
 fn parse_list(flag: &str, v: &str) -> Vec<usize> {
     let xs: Vec<usize> = v
@@ -318,7 +329,7 @@ fn main() {
     let mut out_path = "BENCH_engine.json".to_string();
     let mut samples = DEFAULT_SAMPLES;
     let mut sizes: Vec<usize> = DEFAULT_SIZES.to_vec();
-    let mut threads: Vec<usize> = vec![rayon::current_num_threads()];
+    let mut threads: Vec<usize> = vec![host_threads()];
     let mut ride_along = true;
     let mut churn = false;
     let mut args = std::env::args().skip(1);

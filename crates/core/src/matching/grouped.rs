@@ -511,19 +511,6 @@ pub fn mwm_grouped_with(g: &Graph, config: SimConfig, seed: u64) -> (super::LrMa
     finish_grouped_run(g, &outcome)
 }
 
-/// [`mwm_grouped_with`] on the engine's deterministic parallel executor:
-/// same protocol, same assembly, bit-identical matching for a given
-/// `(graph, config, seed)` — the repair harness uses this to certify that
-/// incremental re-matching is executor-independent.
-pub fn mwm_grouped_with_parallel(
-    g: &Graph,
-    config: SimConfig,
-    seed: u64,
-) -> (super::LrMatchingRun, bool) {
-    let outcome = Engine::build(g, config, |_| GroupedLrMatching::new()).run_parallel(seed);
-    finish_grouped_run(g, &outcome)
-}
-
 /// [`mwm_grouped_with`] on the engine's sharded executor
 /// ([`Engine::run_sharded`]): same protocol, same assembly, bit-identical
 /// matching for a given `(graph, config, seed)` under *any* partition.
@@ -731,15 +718,22 @@ mod tests {
             let mut g = generators::gnp(32, 0.15, &mut rng);
             generators::randomize_edge_weights(&mut g, 64, &mut rng);
             let config = SimConfig::congest_for(&g).with_max_rounds(64 * g.num_nodes() + 256);
-            let (seq, seq_done) = mwm_grouped_with(&g, config.clone(), 40 + trial);
-            let (par, par_done) = mwm_grouped_with_parallel(&g, config, 40 + trial);
-            assert_eq!(seq_done, par_done, "trial {trial}");
-            assert_eq!(
-                seq.matching.edges(&g).collect::<Vec<_>>(),
-                par.matching.edges(&g).collect::<Vec<_>>(),
-                "trial {trial}: executors must agree on the matching"
-            );
-            assert_eq!(seq.stats, par.stats, "trial {trial}");
+            let seed = 40 + trial;
+            let (seq, seq_done) = mwm_grouped_with(&g, config.clone().with_threads(1), seed);
+            let (par, par_done) = mwm_grouped_with(&g, config.clone().with_threads(3), seed);
+            // The sharded executor runs its parts whatever the graph size,
+            // so this is the comparison that really splits a 32-node run.
+            let parts = ShardPartition::contiguous(g.num_nodes(), 3);
+            let (sharded, sharded_done, _) = mwm_grouped_with_sharded(&g, config, seed, &parts);
+            for (other, done) in [(&par, par_done), (&sharded, sharded_done)] {
+                assert_eq!(seq_done, done, "trial {trial}");
+                assert_eq!(
+                    seq.matching.edges(&g).collect::<Vec<_>>(),
+                    other.matching.edges(&g).collect::<Vec<_>>(),
+                    "trial {trial}: executors must agree on the matching"
+                );
+                assert_eq!(seq.stats, other.stats, "trial {trial}");
+            }
         }
     }
 

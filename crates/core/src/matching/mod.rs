@@ -18,9 +18,7 @@
 mod grouped;
 mod repair;
 
-pub use grouped::{
-    mwm_grouped, mwm_grouped_with, mwm_grouped_with_parallel, mwm_grouped_with_sharded, GroupedMsg,
-};
+pub use grouped::{mwm_grouped, mwm_grouped_with, mwm_grouped_with_sharded, GroupedMsg};
 pub use repair::{grouped_mwm_repair, MatchingRepairRun};
 
 use congest_graph::{EdgeId, Graph, Matching};

@@ -14,7 +14,7 @@
 use congest_graph::{DeltaSet, Graph, Matching, NodeId};
 use congest_sim::{RunStats, SimConfig};
 
-use super::{mwm_grouped_with, mwm_grouped_with_parallel};
+use super::mwm_grouped_with;
 
 /// Outcome of an incremental matching repair.
 #[derive(Clone, Debug)]
@@ -40,8 +40,9 @@ pub struct MatchingRepairRun {
 /// pairs (edge ids are not stable across compaction; node ids are). A
 /// pair is **frozen** — kept verbatim — iff its edge still exists in `g`
 /// and neither endpoint departed; everything else is re-negotiated.
-/// `parallel` selects the engine's deterministic parallel executor; both
-/// executors produce bit-identical matchings for the same seed.
+/// `parallel` runs the repair on [`SimConfig::threads`]' default (the
+/// host's threads), `false` on one thread; the matchings are
+/// bit-identical for the same seed.
 ///
 /// # Panics
 ///
@@ -121,11 +122,12 @@ pub fn grouped_mwm_repair(
         };
     }
     let config = SimConfig::congest_for(&sub).with_max_rounds(64 * sub.num_nodes() + 256);
-    let (run, completed) = if parallel {
-        mwm_grouped_with_parallel(&sub, config, seed)
+    let config = if parallel {
+        config
     } else {
-        mwm_grouped_with(&sub, config, seed)
+        config.with_threads(1)
     };
+    let (run, completed) = mwm_grouped_with(&sub, config, seed);
     assert!(completed, "grouped repair run failed to terminate");
     for e in run.matching.edges(&sub).collect::<Vec<_>>() {
         let (su, sv) = sub.endpoints(e);

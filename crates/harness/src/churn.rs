@@ -24,18 +24,16 @@
 //! criterion: repair is oracle-valid, bit-identical across executors,
 //! and strictly cheaper in rounds than recomputing from scratch.
 
-use congest_approx::matching::{
-    grouped_mwm_repair, mwm_grouped, mwm_grouped_with, mwm_grouped_with_parallel,
-};
+use congest_approx::matching::{grouped_mwm_repair, mwm_grouped, mwm_grouped_with};
 use congest_approx::maxis::{alg2_with, Alg2Config};
 use congest_bench::ledger::{json_object, json_str};
 use congest_graph::{generators, DeltaGraph, Graph, NodeId};
 use congest_mis::{luby_repair, verify_mis, GhaffariMis, LubyMis, MisResult};
-use congest_sim::{run_protocol, Adversary, Engine, Protocol, RunStats, SimConfig};
+use congest_sim::{run_protocol, Adversary, RunStats, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{build_graph, topologies, ProtocolKind, Topology, Weighting};
+use crate::{build_graph, run_mis_both, topologies, ProtocolKind, Topology, Weighting};
 
 /// One axis of the churn model. Each axis turns exactly one topology
 /// knob so the ledger isolates which *kind* of dynamism each protocol
@@ -220,28 +218,6 @@ impl ChurnReport {
     }
 }
 
-/// Runs an engine-driven MIS cell sequentially *and* in parallel,
-/// asserting the executors agree before scoring the sequential outcome.
-fn run_mis_both<P>(
-    g: &Graph,
-    config: &SimConfig,
-    factory: fn() -> P,
-    seed: u64,
-) -> congest_sim::RunOutcome<MisResult>
-where
-    P: Protocol<Output = MisResult> + Send,
-    P::Msg: Send,
-{
-    let seq = Engine::build(g, config.clone(), move |_| factory()).run(seed);
-    let par = Engine::build(g, config.clone(), move |_| factory()).run_parallel(seed);
-    assert_eq!(
-        seq.outputs, par.outputs,
-        "churn cell: sequential and parallel executors diverged"
-    );
-    assert_eq!(seq.stats, par.stats);
-    seq
-}
-
 /// Applies `k` axis-shaped mutations to the overlay: edge flips
 /// (remove-if-present-else-insert on seeded pairs), node joins (each new
 /// node wired to two seeded existing nodes), or node departures
@@ -398,9 +374,9 @@ pub fn churn_cell(
     let (completed, safety_ok, stats) = match kind {
         ProtocolKind::LubyMis | ProtocolKind::GhaffariMis => {
             let outcome = if kind == ProtocolKind::LubyMis {
-                run_mis_both(&g, &config, LubyMis::new, seed)
+                run_mis_both(&g, &config, LubyMis::new, seed, "churn")
             } else {
-                run_mis_both(&g, &config, || GhaffariMis::with_k(2.0), seed)
+                run_mis_both(&g, &config, || GhaffariMis::with_k(2.0), seed, "churn")
             };
             let independent = !g.edges().any(|e| {
                 let (u, v) = g.endpoints(e);
@@ -410,8 +386,8 @@ pub fn churn_cell(
             (outcome.completed, independent, outcome.stats)
         }
         ProtocolKind::GroupedMwm => {
-            let (a, completed) = mwm_grouped_with(&g, config.clone(), seed);
-            let (b, _) = mwm_grouped_with_parallel(&g, config.clone(), seed);
+            let (a, completed) = mwm_grouped_with(&g, config.clone().with_threads(1), seed);
+            let (b, _) = mwm_grouped_with(&g, config.clone().with_threads(3), seed);
             assert_eq!(a.stats, b.stats, "grouped churn cell: executors diverged");
             assert_eq!(
                 a.matching.edges(&g).collect::<Vec<_>>(),

@@ -72,7 +72,7 @@ use congest_exact::{
 };
 use congest_graph::{generators, Graph, NodeId};
 use congest_mis::{verify_mis, GhaffariMis, LubyMis, MisResult};
-use congest_sim::{run_protocol, Adversary, NodeInfo, Protocol, SimConfig};
+use congest_sim::{run_protocol, Adversary, NodeInfo, Protocol, RunOutcome, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -925,6 +925,26 @@ pub fn fault_cell(kind: ProtocolKind, topo: &Topology, adv: Adversary) -> FaultR
         adversary_dropped: stats.adversary_dropped_messages,
         crashed_nodes: stats.crashed_nodes,
     }
+}
+
+/// Runs an engine-driven MIS `cell` on one thread *and* on three,
+/// asserting the two agree on every output and statistic before scoring
+/// the one-thread outcome.
+pub(crate) fn run_mis_both<P: Protocol<Output = MisResult>>(
+    g: &Graph,
+    config: &SimConfig,
+    factory: fn() -> P,
+    seed: u64,
+    cell: &str,
+) -> RunOutcome<MisResult> {
+    let one = run_protocol(g, config.clone().with_threads(1), |_| factory(), seed);
+    let three = run_protocol(g, config.clone().with_threads(3), |_| factory(), seed);
+    assert_eq!(
+        one.outputs, three.outputs,
+        "{cell} cell: one- and three-thread runs diverged"
+    );
+    assert_eq!(one.stats, three.stats);
+    one
 }
 
 #[cfg(test)]

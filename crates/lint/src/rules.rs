@@ -146,15 +146,18 @@ impl Diagnostic {
 const ENGINE_LOOP_FNS: &[&str] = &[
     "run",
     "run_parallel",
-    "run_with",
+    "run_parallel_with",
+    "run_sharded",
+    "run_parts",
+    "for_each_part",
+    "active_slots",
+    "node_slot",
+    "wipe_arrivals",
+    "compute_part",
+    "deliver_part",
     "step",
-    "step_all",
-    "deliver_all",
-    "deliver_slot",
     "deliver_slot_with",
-    "deliver_slot_traced",
-    "place_message",
-    "delivery_phase",
+    "place_word",
 ];
 
 /// Files (by trailing path component) treated as oracle/bound-check
@@ -824,7 +827,7 @@ mod tests {
 
     #[test]
     fn engine_loop_functions_are_in_scope() {
-        let src = "impl E {\n    fn delivery_phase() {\n        q.pop().expect(\"x\");\n    }\n}\n";
+        let src = "impl E {\n    fn deliver_part() {\n        q.pop().expect(\"x\");\n    }\n}\n";
         assert_eq!(run("crates/sim/src/engine.rs", src).len(), 1);
         // Same function name outside engine.rs is not round-loop code.
         assert!(run("crates/sim/src/other.rs", src).is_empty());

@@ -29,7 +29,7 @@
 //!    merges back without conflicts.
 
 use congest_graph::{DeltaSet, Graph, NodeId};
-use congest_sim::{Engine, RunStats, SimConfig};
+use congest_sim::{run_protocol, RunStats, SimConfig};
 
 use crate::{LubyMis, MisResult};
 
@@ -57,9 +57,9 @@ pub struct RepairRun {
 /// (congest_graph::DeltaGraph::compact) of the mutated overlay), `prior`
 /// the per-node results valid for the pre-delta graph, and `deltas` the
 /// log separating the two (e.g. [`DeltaGraph::take_log`]
-/// (congest_graph::DeltaGraph::take_log)). `parallel` selects the
-/// engine's deterministic parallel executor; both executors produce
-/// bit-identical results for the same seed.
+/// (congest_graph::DeltaGraph::take_log)). `parallel` runs the repair on
+/// [`SimConfig::threads`]' default (the host's threads), `false` on one
+/// thread; results are bit-identical for the same seed.
 ///
 /// # Panics
 ///
@@ -166,12 +166,12 @@ pub fn luby_repair(
         };
     }
     let config = SimConfig::congest_for(&sub);
-    let engine = Engine::build(&sub, config, |_| LubyMis::new());
-    let outcome = if parallel {
-        engine.run_parallel(seed)
+    let config = if parallel {
+        config
     } else {
-        engine.run(seed)
+        config.with_threads(1)
     };
+    let outcome = run_protocol(&sub, config, |_| LubyMis::new(), seed);
     let rounds = outcome.stats.rounds;
     let stats = outcome.stats.clone();
     for (new, out) in outcome.outputs.iter().enumerate() {
@@ -191,7 +191,6 @@ mod tests {
     use super::*;
     use crate::verify_mis;
     use congest_graph::{generators, DeltaGraph};
-    use congest_sim::run_protocol;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -1,11 +1,13 @@
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use congest_graph::{DeltaSet, EdgeId, Graph, NodeId, ShardPartition};
 use rand::rngs::SmallRng;
-use rayon::prelude::*;
 
 use crate::message::bits_for_count;
+use crate::pool::Crew;
 use crate::rng::{node_rng, phase_seed};
 use crate::sched::AsyncScheduler;
 use crate::{Adversary, Context, Inbox, Message, NodeInfo, PackedMsg, Protocol, Status};
@@ -48,6 +50,12 @@ pub struct SimConfig {
     /// `None` — and any scheduler with `max_delay() == 0` — is the
     /// synchronous engine, bit-identical to the fingerprinted path.
     pub scheduler: Option<AsyncScheduler>,
+    /// Parts [`run_protocol`] and [`Engine::run_parallel`] split the
+    /// node space into, one per thread. Defaults to the host's available
+    /// parallelism; results are bit-identical for every value, so this
+    /// only trades wall-clock against CPUs. [`Engine::run`] ignores it
+    /// and always runs one part.
+    pub threads: usize,
 }
 
 impl SimConfig {
@@ -65,6 +73,7 @@ impl SimConfig {
             record_traces: false,
             adversary: None,
             scheduler: None,
+            threads: host_threads(),
         }
     }
 
@@ -76,6 +85,7 @@ impl SimConfig {
             record_traces: false,
             adversary: None,
             scheduler: None,
+            threads: host_threads(),
         }
     }
 
@@ -83,6 +93,21 @@ impl SimConfig {
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
         self
+    }
+
+    /// Returns the configuration running on `threads` parts (at least
+    /// one).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Threads a multi-part run over `n` nodes actually uses:
+    /// [`threads`](Self::threads), or 1 when `n` is below the inline
+    /// cutoff of `threads · 1024` nodes, where every round would run on
+    /// the caller anyway.
+    pub fn threads_for(&self, n: usize) -> usize {
+        parts_for(n, self.threads)
     }
 
     /// Returns the configuration with message tracing enabled.
@@ -296,10 +321,11 @@ struct NodeSlot<'g, P: Protocol> {
     /// (`occ_offsets[id]`); the row spans `⌈degree / 64⌉` words.
     occ_start: u32,
     rng: SmallRng,
-    /// Output produced this round, if the node chose to halt; applied to
-    /// the alive set only at the delivery phase so that drop decisions
-    /// cannot observe a half-updated round.
-    pending_halt: Option<P::Output>,
+    /// The node's output, once it has halted. The part that stepped the
+    /// node clears its `alive` flag in the same compute phase; delivery
+    /// starts only after every part has computed, so drop decisions never
+    /// observe a half-updated round.
+    output: Option<P::Output>,
     active: bool,
     /// Set when the node rejoins after a crash (restart mode): its next
     /// compute phase runs `init` — with the current round number — instead
@@ -462,7 +488,7 @@ struct DeliverArgs<'a> {
     /// occupancy row (see [`PlanePtr`]).
     occ_offsets: &'a [u32],
     /// Liveness per node id, with this round's halts already applied.
-    alive: &'a [bool],
+    alive: &'a [AtomicBool],
     /// [`SimConfig::bit_budget`].
     bit_budget: Option<usize>,
     /// The round being delivered, so adversary and scheduler coins can be
@@ -483,9 +509,9 @@ struct DeliverArgs<'a> {
     edge_down: Option<&'a [u64]>,
 }
 
-/// Per-chunk statistics accumulator for the delivery phase; merged into
-/// [`RunStats`] with commutative operations (sums and max), so parallel
-/// chunk order cannot change the result.
+/// Delivery statistics of one part over one phase, merged into the run's
+/// totals through [`AddAssign`] — sums and max only, so neither the part
+/// count nor the merge order can change the result.
 #[derive(Default)]
 struct Tally {
     total_messages: u64,
@@ -496,19 +522,78 @@ struct Tally {
     delayed_messages: u64,
     duplicated_messages: u64,
     corrupted_messages: u64,
+    /// Messages whose receiver lies outside the sender's part: the
+    /// cross-shard meter of [`Engine::run_sharded`], kept out of
+    /// [`RunStats`] so stats stay executor-independent.
+    cross_part_messages: u64,
 }
 
-/// Minimum active slots *per worker* below which `run_parallel` steps and
-/// delivers inline: spawning workers for a nearly-drained (or small) round
-/// costs more than the round. Scaling the cutoff by the worker count —
-/// rather than the old flat 256-slot threshold — is what fixed the n=1000
-/// `run_parallel` regression in `BENCH_engine.json`: on an 8-thread host a
-/// 1000-node round handed each worker only ~125 slots, and the
-/// spawn + per-chunk tally flush (8 atomics per chunk — cheap, but not
-/// free) cost more than stepping 1000 nodes inline. The per-chunk merge
-/// itself is sound and stays: one commutative flush per *chunk*, not per
-/// slot, is already the minimal synchronization.
+impl AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.total_messages += t.total_messages;
+        self.max_message_bits = self.max_message_bits.max(t.max_message_bits);
+        self.budget_violations += t.budget_violations;
+        self.dropped_messages += t.dropped_messages;
+        self.adversary_dropped_messages += t.adversary_dropped_messages;
+        self.delayed_messages += t.delayed_messages;
+        self.duplicated_messages += t.duplicated_messages;
+        self.corrupted_messages += t.corrupted_messages;
+        self.cross_part_messages += t.cross_part_messages;
+    }
+}
+
+impl Tally {
+    /// Adds the run's delivery totals to `stats` (every field but the
+    /// cross-part meter).
+    fn record(&self, stats: &mut RunStats) {
+        stats.total_messages += self.total_messages;
+        stats.max_message_bits = stats.max_message_bits.max(self.max_message_bits);
+        stats.budget_violations += self.budget_violations;
+        stats.dropped_messages += self.dropped_messages;
+        stats.adversary_dropped_messages += self.adversary_dropped_messages;
+        stats.delayed_messages += self.delayed_messages;
+        stats.duplicated_messages += self.duplicated_messages;
+        stats.corrupted_messages += self.corrupted_messages;
+    }
+}
+
+/// Minimum active slots *per part* below which a multi-part round steps
+/// and delivers every part on the caller: waking helpers for a nearly
+/// drained (or small) round costs more than the round. Scaling the
+/// cutoff by the part count — rather than a flat threshold — keeps a
+/// 1000-node round from being split into slivers on a many-core host.
+/// A graph smaller than the cutoff is run as one part outright, so
+/// oracle-sized graphs never wake a helper.
 const PAR_MIN_SLOTS_PER_WORKER: usize = 1024;
+
+/// Parts a `threads`-thread run over `n` nodes is split into: one below
+/// the inline cutoff, else one per thread.
+fn parts_for(n: usize, threads: usize) -> usize {
+    let threads = threads.max(1);
+    if n < threads.saturating_mul(PAR_MIN_SLOTS_PER_WORKER) {
+        1
+    } else {
+        threads
+    }
+}
+
+/// One contiguous range of node ids: the unit a single thread steps,
+/// delivers and compacts in each phase.
+struct Part<'g, P: Protocol> {
+    /// First node id of the range. Slot `i` of an uncompacted part is
+    /// node `start + i`.
+    start: usize,
+    /// The range's slots; `slots[..active_len]` is the active prefix,
+    /// swap-compacted after each delivery when the run allows it.
+    slots: Vec<NodeSlot<'g, P>>,
+    active_len: usize,
+}
+
+/// The host's available parallelism: the default
+/// [`SimConfig::threads`].
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 /// Runs one [`Protocol`] instance per node of a graph.
 ///
@@ -680,158 +765,64 @@ impl<'g, P: Protocol> Engine<'g, P> {
 
     /// Runs the protocol to completion (all nodes halted) or to the round
     /// cap, using `seed` to derive every node's private RNG.
-    pub fn run(self, seed: u64) -> RunOutcome<P::Output> {
-        self.run_with(
-            seed,
-            true,
-            |slots, round, planes| Self::step_all(slots, round, planes),
-            |slots, planes, args| Self::deliver_all(slots, planes, args),
-        )
-    }
-
-    /// Sequential compute phase over `slots`; shared by [`run`](Self::run)
-    /// and `run_parallel`'s small-active-set inline fallback so the two
-    /// cannot diverge.
-    fn step_all(slots: &mut [NodeSlot<'g, P>], round: usize, planes: &Planes) {
-        for slot in slots.iter_mut() {
-            Self::step(slot, round, planes);
-        }
-    }
-
-    /// Sequential delivery over `slots`; shared like
-    /// [`step_all`](Self::step_all).
-    fn deliver_all(slots: &[NodeSlot<'g, P>], planes: &Planes, args: &DeliverArgs<'_>) -> Tally {
-        let mut tally = Tally::default();
-        for slot in slots.iter() {
-            Self::deliver_slot(slot, planes, args, &mut tally);
-        }
-        tally
-    }
-
-    /// Like [`run`](Engine::run), but executes each round's compute *and*
-    /// delivery phases on all hardware threads, chunking over the
-    /// compacted active slot prefix (halted nodes cost nothing).
     ///
-    /// Outputs, statistics, and traces are bit-identical to the
-    /// sequential path for the same `seed`: every node steps against its
-    /// own private [`SmallRng`] and disjoint plane rows (no cross-node
-    /// state), delivery writes each directed edge's unique cell, and the
-    /// statistics merge with commutative sums/max. Rounds whose active set
-    /// is smaller than a fixed threshold (or the whole run, on a
-    /// single-threaded host) execute inline, so the parallel executor
-    /// degrades to the sequential one instead of paying worker overhead it
-    /// cannot recoup.
-    pub fn run_parallel(self, seed: u64) -> RunOutcome<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        let threads = rayon::current_num_threads().max(1);
+    /// This is the one-part reference executor: it ignores
+    /// [`SimConfig::threads`], never wakes a helper thread, and is what
+    /// every parity check compares the multi-part executors against.
+    pub fn run(self, seed: u64) -> RunOutcome<P::Output> {
+        self.run_parallel_with(seed, 1)
+    }
+
+    /// Like [`run`](Engine::run), but splits the node space into
+    /// [`SimConfig::threads`] contiguous parts, one per thread (see
+    /// [`run_parallel_with`](Self::run_parallel_with)). This is what
+    /// [`run_protocol`] — and so every protocol driver — runs on.
+    pub fn run_parallel(self, seed: u64) -> RunOutcome<P::Output> {
+        let threads = self.config.threads;
         self.run_parallel_with(seed, threads)
     }
 
-    /// [`run_parallel`](Self::run_parallel) with an explicit worker count
-    /// instead of the host's hardware parallelism — the bench harness
-    /// sweeps this to record a `threads` column, and tests use it to
-    /// exercise the multi-worker path on single-core hosts. Results are
-    /// bit-identical to [`run`](Self::run) for any `threads`.
-    pub fn run_parallel_with(self, seed: u64, threads: usize) -> RunOutcome<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
-        let threads = threads.max(1);
-        if threads == 1 {
-            // One worker: the parallel executor cannot win, so take the
-            // sequential loop wholesale (identical code path, identical
-            // results, zero overhead).
-            return self.run(seed);
-        }
-        let inline_below = threads.saturating_mul(PAR_MIN_SLOTS_PER_WORKER);
-        self.run_with(
-            seed,
-            true,
-            move |slots, round, planes| {
-                if slots.len() < inline_below {
-                    Self::step_all(slots, round, planes);
-                    return;
-                }
-                let chunk = slots.len().div_ceil(threads).max(1);
-                slots
-                    .par_chunks_mut(chunk)
-                    .for_each_with_workers(threads, |chunk| {
-                        Self::step_all(chunk, round, planes);
-                    });
-            },
-            move |slots, planes, args| {
-                if slots.len() < inline_below {
-                    return Self::deliver_all(slots, planes, args);
-                }
-                let total_messages = AtomicU64::new(0);
-                let max_message_bits = AtomicUsize::new(0);
-                let budget_violations = AtomicU64::new(0);
-                let dropped_messages = AtomicU64::new(0);
-                let adversary_dropped = AtomicU64::new(0);
-                let delayed_messages = AtomicU64::new(0);
-                let duplicated_messages = AtomicU64::new(0);
-                let corrupted_messages = AtomicU64::new(0);
-                let chunk = slots.len().div_ceil(threads).max(1);
-                slots
-                    .par_chunks_mut(chunk)
-                    .for_each_with_workers(threads, |chunk| {
-                        let tally = Self::deliver_all(chunk, planes, args);
-                        // One commutative flush per chunk; sums and max cannot
-                        // observe merge order, so stats stay bit-identical to
-                        // the sequential path.
-                        total_messages.fetch_add(tally.total_messages, Ordering::Relaxed);
-                        max_message_bits.fetch_max(tally.max_message_bits, Ordering::Relaxed);
-                        budget_violations.fetch_add(tally.budget_violations, Ordering::Relaxed);
-                        dropped_messages.fetch_add(tally.dropped_messages, Ordering::Relaxed);
-                        adversary_dropped
-                            .fetch_add(tally.adversary_dropped_messages, Ordering::Relaxed);
-                        delayed_messages.fetch_add(tally.delayed_messages, Ordering::Relaxed);
-                        duplicated_messages.fetch_add(tally.duplicated_messages, Ordering::Relaxed);
-                        corrupted_messages.fetch_add(tally.corrupted_messages, Ordering::Relaxed);
-                    });
-                Tally {
-                    total_messages: total_messages.into_inner(),
-                    max_message_bits: max_message_bits.into_inner(),
-                    budget_violations: budget_violations.into_inner(),
-                    dropped_messages: dropped_messages.into_inner(),
-                    adversary_dropped_messages: adversary_dropped.into_inner(),
-                    delayed_messages: delayed_messages.into_inner(),
-                    duplicated_messages: duplicated_messages.into_inner(),
-                    corrupted_messages: corrupted_messages.into_inner(),
-                }
-            },
-        )
+    /// Runs on `threads` contiguous parts: each round, the caller steps
+    /// and delivers part 0 while long-lived helper threads take the rest,
+    /// each compacting its own part's active prefix (halted nodes cost
+    /// nothing). The helpers are leased from a process-wide pool for the
+    /// run and park between phases and between runs.
+    ///
+    /// Outputs, statistics, and traces are bit-identical to
+    /// [`run`](Self::run) for the same `seed` and any `threads`: every
+    /// node steps against its own private [`SmallRng`] and disjoint plane
+    /// rows (no cross-node state), delivery writes each directed edge's
+    /// unique cell, and the statistics merge with commutative sums/max.
+    /// Rounds with fewer than `threads · 1024` active nodes run every
+    /// part on the caller, and a graph below that size is one part, so
+    /// the executor degrades to the sequential one instead of paying for
+    /// helpers it cannot use.
+    pub fn run_parallel_with(self, seed: u64, threads: usize) -> RunOutcome<P::Output> {
+        let n = self.graph.num_nodes();
+        let inline_below = threads.max(1).saturating_mul(PAR_MIN_SLOTS_PER_WORKER);
+        let partition = ShardPartition::contiguous(n, parts_for(n, threads));
+        self.run_parts(seed, &partition, inline_below).0
     }
 
     /// Shard-partitioned executor for the matching-as-a-service façade:
-    /// each shard's contiguous slot range is stepped and delivered by its
-    /// own worker thread, and every message crossing a shard boundary is
-    /// metered as coordinator↔worker traffic (the Huang–Radunovic–
-    /// Vojnovic–Zhang communication model: cross-shard edges *are* the
-    /// cost surface, carried here as the same packed-u64 plane rows as
-    /// intra-shard ones).
+    /// each shard's contiguous slot range is one part, stepped, delivered
+    /// and compacted by its own thread in every round whatever its size,
+    /// and every message crossing a shard boundary is metered as
+    /// coordinator↔worker traffic (the Huang–Radunovic–Vojnovic–Zhang
+    /// communication model: cross-shard edges *are* the cost surface,
+    /// carried here as the same packed-u64 plane rows as intra-shard
+    /// ones). The meter is a delivery hook; it is kept out of
+    /// [`RunStats`] so stats equality across executors stays exact.
     ///
     /// Outputs, statistics, and completion are **bit-identical to
     /// [`run`](Self::run)** for the same `(graph, config, seed)`, for any
-    /// partition: nodes step against private RNGs and disjoint plane
-    /// rows, delivery writes each directed edge's unique cell, and
-    /// tallies merge commutatively — the run ≡ run_parallel contract
-    /// extended with a third executor. Compaction is disabled so slot
-    /// index == node id for the whole run, keeping partition ranges
-    /// aligned with slot chunks; the cross-shard meter is kept out of
-    /// [`RunStats`] so stats equality across executors stays exact.
+    /// partition — including shards with empty ranges — by the same
+    /// argument as [`run_parallel_with`](Self::run_parallel_with).
+    /// Active-slot compaction is on, per shard.
     ///
     /// # Panics
     /// Panics if `partition` does not cover exactly the graph's slots.
-    pub fn run_sharded(self, seed: u64, partition: &ShardPartition) -> ShardedRun<P::Output>
-    where
-        P: Send,
-        P::Output: Send,
-    {
+    pub fn run_sharded(self, seed: u64, partition: &ShardPartition) -> ShardedRun<P::Output> {
         assert_eq!(
             partition.num_slots(),
             self.graph.num_nodes(),
@@ -839,116 +830,34 @@ impl<'g, P: Protocol> Engine<'g, P> {
             partition.num_slots(),
             self.graph.num_nodes()
         );
-        let shards = partition.shards();
         let cross_shard_edges = partition.cross_shard_edges(self.graph);
-        if shards == 1 {
-            // One shard is the sequential engine; nothing crosses.
-            return ShardedRun {
-                outcome: self.run(seed),
-                shards: 1,
-                cross_shard_edges: 0,
-                cross_shard_messages: 0,
-            };
-        }
-        let cross_messages = AtomicU64::new(0);
-        let outcome = self.run_with(
-            seed,
-            false,
-            |slots, round, planes| {
-                // Compaction is off: `slots` is the full table and slot
-                // index == node id, so splitting at partition boundaries
-                // hands each worker exactly its shard's nodes.
-                std::thread::scope(|scope| {
-                    let mut rest = slots;
-                    let mut offset = 0;
-                    for s in 0..shards {
-                        let end = partition.range(s).end;
-                        let (chunk, tail) = rest.split_at_mut(end - offset);
-                        offset = end;
-                        rest = tail;
-                        if !chunk.is_empty() {
-                            scope.spawn(move || Self::step_all(chunk, round, planes));
-                        }
-                    }
-                });
-            },
-            |slots, planes, args| {
-                let mut tallies: Vec<(Tally, u64)> = Vec::with_capacity(shards);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(shards);
-                    // `&mut` chunks (like `par_chunks_mut` in the parallel
-                    // executor) so only `P: Send` is required of protocols.
-                    let mut rest = slots;
-                    let mut offset = 0;
-                    for s in 0..shards {
-                        let end = partition.range(s).end;
-                        let (chunk, tail) = rest.split_at_mut(end - offset);
-                        offset = end;
-                        rest = tail;
-                        handles.push(scope.spawn(move || {
-                            let mut tally = Tally::default();
-                            let mut cross = 0u64;
-                            for slot in chunk.iter() {
-                                Self::deliver_slot_with(slot, planes, args, &mut tally, {
-                                    let cross = &mut cross;
-                                    move |_from, to, _bits| {
-                                        // The whole chunk belongs to shard
-                                        // `s`, so only the receiver's side
-                                        // needs a lookup.
-                                        if partition.shard_of(to) != s {
-                                            *cross += 1;
-                                        }
-                                    }
-                                });
-                            }
-                            (tally, cross)
-                        }));
-                    }
-                    for h in handles {
-                        tallies.push(h.join().expect("shard delivery worker panicked"));
-                    }
-                });
-                // Merge in shard order — sums and max are commutative, so
-                // the totals are bit-identical to the sequential tally.
-                let mut merged = Tally::default();
-                for (t, cross) in tallies {
-                    merged.total_messages += t.total_messages;
-                    merged.max_message_bits = merged.max_message_bits.max(t.max_message_bits);
-                    merged.budget_violations += t.budget_violations;
-                    merged.dropped_messages += t.dropped_messages;
-                    merged.adversary_dropped_messages += t.adversary_dropped_messages;
-                    merged.delayed_messages += t.delayed_messages;
-                    merged.duplicated_messages += t.duplicated_messages;
-                    merged.corrupted_messages += t.corrupted_messages;
-                    cross_messages.fetch_add(cross, Ordering::Relaxed);
-                }
-                merged
-            },
-        );
+        let (outcome, cross_shard_messages) = self.run_parts(seed, partition, 0);
         ShardedRun {
             outcome,
-            shards,
+            shards: partition.shards(),
             cross_shard_edges,
-            cross_shard_messages: cross_messages.into_inner(),
+            cross_shard_messages,
         }
     }
 
-    /// Shared run loop; `compute` executes one round's compute phase over
-    /// the active slots (round 0 is `init`), `deliver` scatters their
-    /// send-plane rows (untraced runs only — tracing uses the sequential
-    /// ascending-id path so trace order is reproducible).
+    /// The one executor behind [`run`](Self::run),
+    /// [`run_parallel_with`](Self::run_parallel_with) and
+    /// [`run_sharded`](Self::run_sharded). Each part of `partition` is
+    /// stepped, delivered and compacted by one thread per phase — the
+    /// caller works as part 0 and a leased [`Crew`] takes the rest —
+    /// except in rounds with fewer than `inline_below` active nodes,
+    /// where the caller runs every part itself. The delivery hook counts
+    /// messages leaving their sender's part (never any for one part); the
+    /// count is returned beside the outcome.
     ///
-    /// `allow_compact` lets the caller veto active-prefix compaction even
-    /// when tracing/restart/churn would permit it: the sharded executor
-    /// needs slot index == node id for the whole run so partition ranges
-    /// stay aligned with slot chunks.
-    fn run_with(
+    /// Tracing keeps compute on the parts but delivers on the caller in
+    /// ascending node-id order, so trace order is reproducible.
+    fn run_parts(
         self,
         seed: u64,
-        allow_compact: bool,
-        compute: impl Fn(&mut [NodeSlot<'g, P>], usize, &Planes),
-        deliver: impl Fn(&mut [NodeSlot<'g, P>], &Planes, &DeliverArgs<'_>) -> Tally,
-    ) -> RunOutcome<P::Output> {
+        partition: &ShardPartition,
+        inline_below: usize,
+    ) -> (RunOutcome<P::Output>, u64) {
         let n = self.graph.num_nodes();
         let graph = self.graph;
         let config = self.config;
@@ -966,23 +875,36 @@ impl<'g, P: Protocol> Engine<'g, P> {
             occ_acc += degree.div_ceil(64) as u32;
             occ_offsets.push(occ_acc);
         }
-        let mut slots: Vec<NodeSlot<'g, P>> = self
-            .nodes
-            .into_iter()
-            .zip(self.infos)
-            .map(|(proto, info)| NodeSlot {
-                rng: node_rng(seed, info.id),
-                proto,
-                reverse_port: graph.reverse_ports(info.id),
-                neighbor_edges: graph.neighbor_edges(info.id),
-                row_start: row_offsets[info.id.index()],
-                occ_start: occ_offsets[info.id.index()],
-                info,
-                pending_halt: None,
-                active: true,
-                needs_init: false,
+        let mut nodes = self.nodes.into_iter().zip(self.infos);
+        let mut parts: Vec<Mutex<Part<'g, P>>> = (0..partition.shards())
+            .map(|k| {
+                let range = partition.range(k);
+                let slots: Vec<NodeSlot<'g, P>> = nodes
+                    .by_ref()
+                    .take(range.len())
+                    .map(|(proto, info)| NodeSlot {
+                        rng: node_rng(seed, info.id),
+                        proto,
+                        reverse_port: graph.reverse_ports(info.id),
+                        neighbor_edges: graph.neighbor_edges(info.id),
+                        row_start: row_offsets[info.id.index()],
+                        occ_start: occ_offsets[info.id.index()],
+                        info,
+                        output: None,
+                        active: true,
+                        needs_init: false,
+                    })
+                    .collect();
+                Mutex::new(Part {
+                    start: range.start,
+                    active_len: slots.len(),
+                    slots,
+                })
             })
             .collect();
+        // Release the consumed protocol and info buffers now, not at the
+        // end of the run.
+        drop(nodes);
         // Fault machinery, pre-filtered so the fault-free loop tests one
         // `Option` discriminant per hook and allocates nothing extra: a
         // zero-delay scheduler and an all-zero adversary take exactly the
@@ -1036,106 +958,133 @@ impl<'g, P: Protocol> Engine<'g, P> {
                 .collect(),
             reorder: adversary.filter(|a| a.reorder_prob > 0.0),
         };
-        let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-        let mut alive = vec![true; n];
+        // Liveness per node id. Atomic so each part can retire its own
+        // halting nodes during the compute phase while no part reads the
+        // flags. Relaxed accesses suffice: delivery reads them only after
+        // every part has computed, and the phase join in `Crew::run`
+        // (Release by each helper, Acquire by the caller) orders the
+        // writes before the reads.
+        let alive: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
         let mut active_count = n;
-        // Slots `0..active_len` are the (compacted) active prefix; tracing
-        // disables compaction so delivery can walk ascending node ids,
-        // and restart mode and node churn disable it so a rejoining node
-        // can be found at slot index == node id.
-        let compact =
-            allow_compact && !config.record_traces && restart_after.is_none() && churn.is_none();
-        let mut active_len = n;
+        // Tracing disables compaction so delivery can walk ascending node
+        // ids, and restart mode and node churn disable it so a rejoining
+        // node can be found at slot `v - start` of its part.
+        let compact = !config.record_traces && restart_after.is_none() && churn.is_none();
+        let crew = (parts.len() > 1).then(|| Crew::lease(parts.len() - 1));
         let mut stats = RunStats::default();
+        let mut totals = Tally::default();
         let mut traces = Vec::new();
         // Crashed nodes awaiting their restart round, in due-round order
         // (crashes are discovered in ascending rounds, so plain FIFO
         // pushes keep the queue monotone).
         let mut restart_queue: VecDeque<(usize, u32)> = VecDeque::new();
 
-        // Round 0: init (no inboxes yet, halting is not possible).
-        compute(&mut slots[..active_len], 0, &planes);
-        active_len = Self::delivery_phase(
-            &config,
-            &mut slots,
-            active_len,
-            compact,
-            &planes,
-            row_offsets,
-            &occ_offsets,
-            &mut alive,
-            flips_on.then_some(&edge_down).map(Vec::as_slice),
-            &mut outputs,
-            &mut active_count,
-            &mut stats,
-            &mut traces,
-            0,
-            &deliver,
-        );
+        // Round 0 is `init` (no inboxes yet, halting is not possible);
+        // every later round starts with the sequential adversary section.
+        let mut round = 0;
+        loop {
+            let crew = crew.as_ref().filter(|_| active_count >= inline_below);
+            let halted = AtomicUsize::new(0);
+            Self::for_each_part(crew, &parts, |part| {
+                Self::compute_part(part, round, &planes, &alive, &halted);
+            });
+            active_count -= halted.into_inner();
+            let args = DeliverArgs {
+                row_offsets,
+                occ_offsets: &occ_offsets,
+                alive: &alive,
+                bit_budget: config.bit_budget,
+                round,
+                adversary: config.adversary.filter(Adversary::affects_delivery),
+                scheduler,
+                edge_down: flips_on.then_some(edge_down.as_slice()),
+            };
+            if config.record_traces {
+                // Compaction is off, so part order then slot order is
+                // ascending node-id order — the documented small-graph
+                // path, on the caller.
+                for part in &mut parts {
+                    let part = part.get_mut().unwrap_or_else(PoisonError::into_inner);
+                    let range = part.start..part.start + part.slots.len();
+                    let mut cross = 0;
+                    for slot in &part.slots {
+                        Self::deliver_slot_with(
+                            slot,
+                            &planes,
+                            &args,
+                            &mut totals,
+                            |from, to, bits| {
+                                cross += u64::from(!range.contains(&to.index()));
+                                traces.push(MessageTrace {
+                                    round,
+                                    from,
+                                    to,
+                                    bits,
+                                });
+                            },
+                        );
+                    }
+                    totals.cross_part_messages += cross;
+                }
+            } else {
+                let merged = Mutex::new(Tally::default());
+                Self::for_each_part(crew, &parts, |part| {
+                    let tally = Self::deliver_part(part, &planes, &args, compact);
+                    *merged.lock().unwrap_or_else(PoisonError::into_inner) += tally;
+                });
+                totals += merged.into_inner().unwrap_or_else(PoisonError::into_inner);
+            }
 
-        while (active_count > 0 || !restart_queue.is_empty() || (joins_on && departed_count > 0))
-            && stats.rounds < config.max_rounds
-        {
+            let live =
+                active_count > 0 || !restart_queue.is_empty() || (joins_on && departed_count > 0);
+            if !live || stats.rounds >= config.max_rounds {
+                break;
+            }
             stats.rounds += 1;
-            let round = stats.rounds;
+            round = stats.rounds;
             // Self-stabilization: crashed nodes whose downtime has elapsed
             // rejoin *before* this round's crash coins, with factory-fresh
             // protocol state and a fresh RNG stream (keyed by the rejoin
             // round, so a node crashing twice gets two distinct streams).
-            // Compaction is off in restart mode, so slot index == node id.
             while let Some(&(due, v)) = restart_queue.front() {
                 if due > round {
                     break;
                 }
                 restart_queue.pop_front();
-                let slot = &mut slots[v as usize];
+                let slot = Self::node_slot(&mut parts, partition, v as usize);
                 let info = slot.info;
                 slot.proto = factory(&info);
                 slot.rng = node_rng(
                     phase_seed(seed, RESTART_STREAM_SALT.wrapping_add(round as u64)),
                     info.id,
                 );
-                slot.pending_halt = None;
                 slot.needs_init = true;
                 slot.active = true;
-                alive[v as usize] = true;
+                alive[v as usize].store(true, Ordering::Relaxed);
                 active_count += 1;
                 stats.restarted_nodes += 1;
             }
             // Crash adversary: decided before the compute phase, per node,
             // by a coin pure in (round, id) — so the schedule cannot
-            // depend on slot order, compaction, or parallel chunking. A
+            // depend on slot order, compaction, or the partition. A
             // crashed node is inert from this round on: it neither
             // computes nor sends, produces no output, and `alive` makes
             // delivery drop everything addressed to it — until its restart
             // round, if the adversary grants one. (Rounds ≥ 1 only: every
             // node is guaranteed its first `init`.)
             if let Some(adv) = adversary.filter(|a| a.crash_prob > 0.0) {
-                for slot in slots[..active_len].iter_mut() {
+                for slot in Self::active_slots(&mut parts) {
                     if slot.active && adv.crashes(round, slot.info.id) {
                         slot.active = false;
-                        alive[slot.info.id.index()] = false;
+                        alive[slot.info.id.index()].store(false, Ordering::Relaxed);
                         active_count -= 1;
                         stats.crashed_nodes += 1;
                         if let Some(k) = restart_after {
                             restart_queue.push_back((round + k, slot.info.id.0));
-                            // Wipe the node's in-flight arrivals across the
-                            // whole ring: a restarted node boots with an
-                            // empty inbox, and pre-crash stragglers count
-                            // as lost to the crash.
-                            let occ_start = slot.occ_start as usize;
-                            let occ_words = slot.info.degree().div_ceil(64);
-                            for plane in &planes.recv {
-                                // SAFETY: this is the sequential section of
-                                // the round loop — no worker holds any
-                                // plane reference — and each node's rows
-                                // are disjoint from every other node's.
-                                let occ = unsafe { plane.occ_row(occ_start, occ_words) };
-                                for word in occ.iter_mut() {
-                                    stats.dropped_messages += u64::from(word.count_ones());
-                                    *word = 0;
-                                }
-                            }
+                            // A restarted node boots with an empty inbox;
+                            // pre-crash stragglers count as lost to the
+                            // crash.
+                            stats.dropped_messages += Self::wipe_arrivals(slot, &planes);
                         }
                     }
                 }
@@ -1144,7 +1093,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
             // by coins pure in (round, id): joins first (mirroring
             // restarts: a node can rejoin before this round's leave coins
             // fire), then leaves, then edge flips. Compaction is off
-            // whenever churn is on, so slot index == node id.
+            // whenever churn is on, so slot index == node id − start.
             if let Some(adv) = churn {
                 if joins_on && departed_count > 0 {
                     for v in 0..n {
@@ -1153,50 +1102,36 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         }
                         departed[v] = false;
                         departed_count -= 1;
-                        let slot = &mut slots[v];
+                        let slot = Self::node_slot(&mut parts, partition, v);
                         let info = slot.info;
                         slot.proto = factory(&info);
                         slot.rng = node_rng(
                             phase_seed(seed, CHURN_STREAM_SALT.wrapping_add(round as u64)),
                             info.id,
                         );
-                        slot.pending_halt = None;
                         slot.needs_init = true;
                         slot.active = true;
-                        alive[v] = true;
+                        alive[v].store(true, Ordering::Relaxed);
                         active_count += 1;
                         stats.nodes_joined += 1;
                     }
                 }
                 if leaves_on {
-                    for slot in slots[..active_len].iter_mut() {
+                    for slot in Self::active_slots(&mut parts) {
                         if !slot.active || !adv.leaves(round, slot.info.id) {
                             continue;
                         }
                         let v = slot.info.id.index();
                         slot.active = false;
-                        alive[v] = false;
+                        alive[v].store(false, Ordering::Relaxed);
                         active_count -= 1;
                         departed[v] = true;
                         departed_count += 1;
                         stats.nodes_left += 1;
-                        // Wipe the node's in-flight arrivals across the
-                        // ring, as at a crash: a rejoining node boots
-                        // with an empty inbox, and pre-departure
-                        // stragglers count as lost to the churn.
-                        let occ_start = slot.occ_start as usize;
-                        let occ_words = slot.info.degree().div_ceil(64);
-                        for plane in &planes.recv {
-                            // SAFETY: sequential section of the round
-                            // loop — no worker holds any plane reference
-                            // — and each node's rows are disjoint from
-                            // every other node's.
-                            let occ = unsafe { plane.occ_row(occ_start, occ_words) };
-                            for word in occ.iter_mut() {
-                                stats.dropped_messages += u64::from(word.count_ones());
-                                *word = 0;
-                            }
-                        }
+                        // As at a crash: a rejoining node boots with an
+                        // empty inbox, and pre-departure stragglers count
+                        // as lost to the churn.
+                        stats.dropped_messages += Self::wipe_arrivals(slot, &planes);
                     }
                 }
                 if flips_on {
@@ -1212,47 +1147,149 @@ impl<'g, P: Protocol> Engine<'g, P> {
                     }
                 }
             }
-            compute(&mut slots[..active_len], round, &planes);
-            active_len = Self::delivery_phase(
-                &config,
-                &mut slots,
-                active_len,
-                compact,
-                &planes,
-                row_offsets,
-                &occ_offsets,
-                &mut alive,
-                flips_on.then_some(&edge_down).map(Vec::as_slice),
-                &mut outputs,
-                &mut active_count,
-                &mut stats,
-                &mut traces,
-                round,
-                &deliver,
-            );
         }
+        drop(crew);
 
-        RunOutcome {
-            // Complete ⇔ every node halted with an output. (Equivalent to
-            // the historical `active_count == 0 && crashed_nodes == 0` in
-            // crash-stop mode — only halting clears `active` with an
-            // output — but also correct in restart mode, where a crashed
-            // node can rejoin and still halt.)
+        totals.record(&mut stats);
+        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
+        for part in parts {
+            let part = part.into_inner().unwrap_or_else(PoisonError::into_inner);
+            for slot in part.slots {
+                outputs[slot.info.id.index()] = slot.output;
+            }
+        }
+        let outcome = RunOutcome {
+            // Complete ⇔ every node halted with an output (in restart
+            // mode a crashed node can rejoin and still halt).
             completed: outputs.iter().all(Option::is_some),
             outputs,
             stats,
             traces,
+        };
+        (outcome, totals.cross_part_messages)
+    }
+
+    /// Runs `job` on every part: on the crew's threads when `crew` is
+    /// given, else part by part on the caller. The part locks are never
+    /// contended (one thread per part per phase); one is poisoned only by
+    /// a protocol panic that is already unwinding the run, so recovering
+    /// the guard never exposes a half-updated part.
+    fn for_each_part(
+        crew: Option<&Crew>,
+        parts: &[Mutex<Part<'g, P>>],
+        job: impl Fn(&mut Part<'g, P>) + Sync,
+    ) {
+        let run = |k: usize| job(&mut parts[k].lock().unwrap_or_else(PoisonError::into_inner));
+        match crew {
+            Some(crew) => crew.run(&run),
+            None => (0..parts.len()).for_each(run),
         }
+    }
+
+    /// Every slot in the active prefixes of all parts, for the sequential
+    /// adversary section.
+    fn active_slots<'a>(
+        parts: &'a mut [Mutex<Part<'g, P>>],
+    ) -> impl Iterator<Item = &'a mut NodeSlot<'g, P>> {
+        parts.iter_mut().flat_map(|part| {
+            let part = part.get_mut().unwrap_or_else(PoisonError::into_inner);
+            part.slots[..part.active_len].iter_mut()
+        })
+    }
+
+    /// Node `v`'s slot in an uncompacted run (restart and churn modes).
+    fn node_slot<'a>(
+        parts: &'a mut [Mutex<Part<'g, P>>],
+        partition: &ShardPartition,
+        v: usize,
+    ) -> &'a mut NodeSlot<'g, P> {
+        let part = parts[partition.shard_of(NodeId(v as u32))]
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        &mut part.slots[v - part.start]
+    }
+
+    /// Clears `slot`'s in-flight arrivals across the whole receive ring,
+    /// returning how many messages that discarded.
+    fn wipe_arrivals(slot: &NodeSlot<'g, P>, planes: &Planes) -> u64 {
+        let occ_start = slot.occ_start as usize;
+        let occ_words = slot.info.degree().div_ceil(64);
+        let mut wiped = 0;
+        for plane in &planes.recv {
+            // SAFETY: called from the sequential section of the round
+            // loop — no part holds any plane reference — and each node's
+            // rows are disjoint from every other node's.
+            let occ = unsafe { plane.occ_row(occ_start, occ_words) };
+            for word in occ.iter_mut() {
+                wiped += u64::from(word.count_ones());
+                *word = 0;
+            }
+        }
+        wiped
+    }
+
+    /// Compute phase of one part: steps its active prefix and retires
+    /// the nodes that halted — clearing their `alive` flags, which no
+    /// part reads before delivery — adding their number to `halted`.
+    fn compute_part(
+        part: &mut Part<'g, P>,
+        round: usize,
+        planes: &Planes,
+        alive: &[AtomicBool],
+        halted: &AtomicUsize,
+    ) {
+        let mut count = 0;
+        for slot in &mut part.slots[..part.active_len] {
+            if Self::step(slot, round, planes) {
+                alive[slot.info.id.index()].store(false, Ordering::Relaxed);
+                count += 1;
+            }
+        }
+        halted.fetch_add(count, Ordering::Relaxed);
+    }
+
+    /// Delivery phase of one part: scatters each active slot's send row
+    /// into the receive ring, metering messages whose receiver lies
+    /// outside the part, then, with `compact`, swaps the part's halted
+    /// slots out of its active prefix so later phases never revisit them.
+    fn deliver_part(
+        part: &mut Part<'g, P>,
+        planes: &Planes,
+        args: &DeliverArgs<'_>,
+        compact: bool,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        let range = part.start..part.start + part.slots.len();
+        let mut cross = 0;
+        for slot in &part.slots[..part.active_len] {
+            Self::deliver_slot_with(slot, planes, args, &mut tally, |_, to, _| {
+                cross += u64::from(!range.contains(&to.index()));
+            });
+        }
+        tally.cross_part_messages = cross;
+        if compact {
+            let mut i = 0;
+            while i < part.active_len {
+                if part.slots[i].active {
+                    i += 1;
+                } else {
+                    part.active_len -= 1;
+                    part.slots.swap(i, part.active_len);
+                }
+            }
+        }
+        tally
     }
 
     /// Compute phase for one node: run `init` (round 0) or `round` against
     /// the node's receive-plane row, writing sends into its send-plane row,
-    /// and stash any halt decision in [`NodeSlot::pending_halt`]. The
-    /// receive row is cleared afterwards, ready for next round's delivery.
-    /// Touches nothing outside the slot and its two plane rows.
-    fn step(slot: &mut NodeSlot<'g, P>, round: usize, planes: &Planes) {
+    /// and record a halt in [`NodeSlot::output`], returning whether the
+    /// node halted. The receive row is cleared afterwards, ready for next
+    /// round's delivery. Touches nothing outside the slot and its two
+    /// plane rows.
+    fn step(slot: &mut NodeSlot<'g, P>, round: usize, planes: &Planes) -> bool {
         if !slot.active {
-            return;
+            return false;
         }
         let start = slot.row_start as usize;
         let occ_start = slot.occ_start as usize;
@@ -1277,7 +1314,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
             proto,
             info,
             rng,
-            pending_halt,
+            output,
+            active,
             needs_init,
             ..
         } = slot;
@@ -1319,7 +1357,8 @@ impl<'g, P: Protocol> Engine<'g, P> {
             }
             let inbox = Inbox::new(recv_words, recv_occ);
             if let Status::Halt(out) = proto.round(&mut ctx, inbox) {
-                *pending_halt = Some(out);
+                *output = Some(out);
+                *active = false;
             }
         }
         // Consume this round's inbox so the plane's next turn in the ring
@@ -1328,13 +1367,14 @@ impl<'g, P: Protocol> Engine<'g, P> {
         for word in recv_occ.iter_mut() {
             *word = 0;
         }
+        !*active
     }
 
     /// Delivery for one sender: drain its send-plane row, scattering each
     /// message into the receiver's receive-plane cell (or counting a drop)
     /// and accumulating statistics into `tally`. `on_message` runs once per
-    /// message before the drop decision — the trace hook; the untraced
-    /// paths pass a no-op closure that monomorphizes away.
+    /// message before the drop decision — the cross-part meter, plus the
+    /// trace recorder on traced runs.
     #[inline]
     fn deliver_slot_with(
         slot: &NodeSlot<'g, P>,
@@ -1388,7 +1428,7 @@ impl<'g, P: Protocol> Engine<'g, P> {
                         continue;
                     }
                 }
-                if !args.alive[to.index()] {
+                if !args.alive[to.index()].load(Ordering::Relaxed) {
                     tally.dropped_messages += 1;
                     continue;
                 }
@@ -1509,122 +1549,12 @@ impl<'g, P: Protocol> Engine<'g, P> {
             tally.dropped_messages += 1;
         }
     }
-
-    /// Untraced delivery for one sender (see
-    /// [`deliver_slot_with`](Self::deliver_slot_with)).
-    #[inline]
-    fn deliver_slot(
-        slot: &NodeSlot<'g, P>,
-        planes: &Planes,
-        args: &DeliverArgs<'_>,
-        tally: &mut Tally,
-    ) {
-        Self::deliver_slot_with(slot, planes, args, tally, |_, _, _| {});
-    }
-
-    /// Delivery phase: apply this round's halts, scatter every send-plane
-    /// row into the receive plane (via `deliver`, or the sequential traced
-    /// path), then swap halted slots out of the active prefix. Runs after
-    /// *all* nodes computed, so whether a message is dropped depends only
-    /// on the set of halted nodes — never on node processing order.
-    /// Returns the new active prefix length.
-    #[allow(clippy::too_many_arguments)]
-    fn delivery_phase(
-        config: &SimConfig,
-        slots: &mut [NodeSlot<'g, P>],
-        active_len: usize,
-        compact: bool,
-        planes: &Planes,
-        row_offsets: &[u32],
-        occ_offsets: &[u32],
-        alive: &mut [bool],
-        edge_down: Option<&[u64]>,
-        outputs: &mut [Option<P::Output>],
-        active_count: &mut usize,
-        stats: &mut RunStats,
-        traces: &mut Vec<MessageTrace>,
-        round: usize,
-        deliver: &impl Fn(&mut [NodeSlot<'g, P>], &Planes, &DeliverArgs<'_>) -> Tally,
-    ) -> usize {
-        for slot in slots[..active_len].iter_mut() {
-            if let Some(out) = slot.pending_halt.take() {
-                debug_assert!(slot.active, "inactive nodes are never stepped");
-                let v = slot.info.id.index();
-                outputs[v] = Some(out);
-                alive[v] = false;
-                slot.active = false;
-                *active_count -= 1;
-            }
-        }
-        let args = DeliverArgs {
-            row_offsets,
-            occ_offsets,
-            alive,
-            bit_budget: config.bit_budget,
-            round,
-            adversary: config.adversary.filter(Adversary::affects_delivery),
-            scheduler: config.scheduler.filter(|s| s.max_delay() > 0),
-            edge_down,
-        };
-        let tally = if config.record_traces {
-            // Tracing pins delivery to ascending node-id order (compaction
-            // is off, so slot order is id order) and stays sequential —
-            // the documented small-graph path.
-            let mut tally = Tally::default();
-            for slot in slots.iter() {
-                Self::deliver_slot_traced(slot, planes, &args, &mut tally, traces, round);
-            }
-            tally
-        } else {
-            deliver(&mut slots[..active_len], planes, &args)
-        };
-        stats.total_messages += tally.total_messages;
-        stats.max_message_bits = stats.max_message_bits.max(tally.max_message_bits);
-        stats.budget_violations += tally.budget_violations;
-        stats.dropped_messages += tally.dropped_messages;
-        stats.adversary_dropped_messages += tally.adversary_dropped_messages;
-        stats.delayed_messages += tally.delayed_messages;
-        stats.duplicated_messages += tally.duplicated_messages;
-        stats.corrupted_messages += tally.corrupted_messages;
-        if !compact {
-            return active_len;
-        }
-        // Swap this round's halted slots out of the active prefix so
-        // future compute/delivery phases never revisit them.
-        let mut i = 0;
-        let mut len = active_len;
-        while i < len {
-            if slots[i].active {
-                i += 1;
-            } else {
-                len -= 1;
-                slots.swap(i, len);
-            }
-        }
-        len
-    }
-
-    /// [`deliver_slot`](Self::deliver_slot) plus trace recording.
-    fn deliver_slot_traced(
-        slot: &NodeSlot<'g, P>,
-        planes: &Planes,
-        args: &DeliverArgs<'_>,
-        tally: &mut Tally,
-        traces: &mut Vec<MessageTrace>,
-        round: usize,
-    ) {
-        Self::deliver_slot_with(slot, planes, args, tally, |from, to, bits| {
-            traces.push(MessageTrace {
-                round,
-                from,
-                to,
-                bits,
-            });
-        });
-    }
 }
 
-/// Convenience wrapper: build and run in one call.
+/// Convenience wrapper: build and run in one call, on
+/// [`SimConfig::threads`] parts ([`Engine::run_parallel`]). Every
+/// protocol driver runs through here; results are bit-identical to
+/// [`Engine::run`] for any thread count.
 ///
 /// ```
 /// use congest_graph::generators;
@@ -1652,7 +1582,7 @@ pub fn run_protocol<'g, P: Protocol>(
     factory: impl FnMut(&NodeInfo<'g>) -> P + 'g,
     seed: u64,
 ) -> RunOutcome<P::Output> {
-    Engine::build(graph, config, factory).run(seed)
+    Engine::build(graph, config, factory).run_parallel(seed)
 }
 
 /// Estimated bytes the engine's message planes occupy for a run over a
@@ -2186,13 +2116,19 @@ mod tests {
             (5, 0x3a4363275fb53268),
             (2024, 0xfd55ba2d7db9f32e),
         ];
+        // Three parts whatever the size: traced compute on the helpers,
+        // traced delivery in id order on the caller.
+        let parts = ShardPartition::contiguous(g.num_nodes(), 3);
         for (seed, expected) in recorded {
             let seq = Engine::build(&g, config.clone(), |_| gossip()).run(seed);
             let par = Engine::build(&g, config.clone(), |_| gossip()).run_parallel(seed);
+            let sharded = Engine::build(&g, config.clone(), |_| gossip()).run_sharded(seed, &parts);
             assert!(seq.completed && par.completed);
-            assert_eq!(seq.outputs, par.outputs);
-            assert_eq!(seq.stats, par.stats);
-            assert_eq!(seq.traces, par.traces);
+            for other in [&par, &sharded.outcome] {
+                assert_eq!(seq.outputs, other.outputs);
+                assert_eq!(seq.stats, other.stats);
+                assert_eq!(seq.traces, other.traces);
+            }
             assert_eq!(
                 outcome_hash(&seq),
                 expected,
@@ -2203,6 +2139,39 @@ mod tests {
             // nodes, so the run exercises the drop path it certifies.
             assert!(seq.stats.dropped_messages > 0);
             assert!(seq.stats.total_messages > 1000);
+        }
+    }
+
+    /// Above the inline cutoff `run_parallel_with` really splits the
+    /// graph, and parts compact independently; under crashes, drops and
+    /// delays every thread count must still reproduce `run`.
+    #[test]
+    fn multi_part_runs_above_the_cutoff_match_run() {
+        let mut rng = SmallRng::seed_from_u64(2025);
+        let g = generators::gnp(7000, 8.0 / 7000.0, &mut rng);
+        let adv = Adversary {
+            drop_prob: 0.05,
+            crash_prob: 0.005,
+            seed: 3,
+            ..Adversary::default()
+        };
+        let faulty = SimConfig::congest_for(&g)
+            .with_max_rounds(64)
+            .with_scheduler(AsyncScheduler::uniform(2, 8))
+            .with_adversary(adv);
+        for config in [SimConfig::congest_for(&g), faulty] {
+            let seq = Engine::build(&g, config.clone(), |_| gossip()).run(11);
+            assert!(seq.stats.total_messages > 7000);
+            for threads in [2, 3, 6] {
+                assert_eq!(
+                    config.clone().with_threads(threads).threads_for(7000),
+                    threads
+                );
+                let par =
+                    Engine::build(&g, config.clone(), |_| gossip()).run_parallel_with(11, threads);
+                assert_eq!(seq.outputs, par.outputs, "threads = {threads}");
+                assert_eq!(seq.stats, par.stats, "threads = {threads}");
+            }
         }
     }
 
@@ -2595,11 +2564,18 @@ mod tests {
             .with_adversary(adv);
         let a = Engine::build(&g, config.clone(), |_| gossip()).run(5);
         let b = Engine::build(&g, config.clone(), |_| gossip()).run(5);
-        let par = Engine::build(&g, config, |_| gossip()).run_parallel(5);
+        let par = Engine::build(&g, config.clone(), |_| gossip()).run_parallel(5);
+        let parts = ShardPartition::contiguous(g.num_nodes(), 3);
+        let sharded = Engine::build(&g, config, |_| gossip()).run_sharded(5, &parts);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.outputs, par.outputs);
         assert_eq!(a.stats, par.stats, "all knobs must be chunking-independent");
+        assert_eq!(a.outputs, sharded.outcome.outputs);
+        assert_eq!(
+            a.stats, sharded.outcome.stats,
+            "all knobs must be partition-independent"
+        );
         assert!(a.stats.delayed_messages > 0);
         assert!(a.stats.duplicated_messages > 0);
         assert!(a.stats.corrupted_messages > 0);

@@ -103,6 +103,7 @@ mod fault;
 mod inbox;
 mod message;
 mod packed;
+mod pool;
 mod protocol;
 mod sched;
 

@@ -84,14 +84,18 @@ impl<O> Status<O> {
 /// engine calls [`init`](Protocol::init) once before any communication,
 /// then [`round`](Protocol::round) every synchronous round with the
 /// messages sent by neighbors in the previous round.
-pub trait Protocol {
+///
+/// Protocols are `Send` (and so are their outputs): a multi-part run
+/// steps each node on whichever thread owns its part, so per-node state
+/// must not hold `Rc`s or other thread-bound handles.
+pub trait Protocol: Send {
     /// Message type exchanged by this protocol. The [`PackedMsg`] bound is
     /// the CONGEST discipline made structural: every message must state a
     /// ≤ 64-bit wire format, because the engine's planes store exactly one
     /// packed word per directed edge.
     type Msg: PackedMsg;
     /// Per-node output on halting.
-    type Output: Clone + Debug;
+    type Output: Clone + Debug + Send;
 
     /// Round 0: inspect [`Context`], initialize state, optionally send.
     fn init(&mut self, ctx: &mut Context<'_, Self::Msg>);

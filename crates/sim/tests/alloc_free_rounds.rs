@@ -6,15 +6,16 @@
 //!
 //! The test protocol is itself allocation-free (plain `u64` broadcasts,
 //! no per-round state growth), so every counted allocation is the
-//! engine's. Only the sequential executor is pinned here: on multi-core
-//! hosts the parallel path's scoped-thread shim allocates O(threads) per
-//! round for worker handles (the real rayon's persistent pool would not),
-//! which is engine-external and documented in `shims/README.md`.
+//! engine's. The multi-part executors are pinned too: a run leases its
+//! helper threads from a process-wide pool once, in the prologue, and
+//! each phase hands them work without allocating, so after one warm-up
+//! run has spawned the helpers, `run_parallel_with` and `run_sharded`
+//! must also allocate the same count at 8 and at 64 rounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use congest_graph::generators;
+use congest_graph::{generators, ShardPartition};
 use congest_sim::{Context, Engine, Inbox, Protocol, SimConfig, Status};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -110,26 +111,40 @@ fn steady_state_rounds_allocate_nothing() {
         "round loop allocated: {short} allocations over 8 rounds vs {long} over 64"
     );
 
-    // On a single-threaded host `run_parallel` takes the inline fallback
-    // and must share the zero-allocation property; on multi-core hosts
-    // the scoped-thread shim allocates per round for worker handles
-    // (engine-external, see shims/README.md), so the check only applies
-    // where the fallback is active.
-    if rayon::current_num_threads() == 1 {
-        let run_par_once = |rounds: usize| {
-            let config = SimConfig::local().with_max_rounds(rounds);
-            let engine = Engine::build(&g, config, |_| Chatter);
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let _ = engine.run_parallel(42);
-            ALLOCATIONS.load(Ordering::SeqCst) - before
+    // The pooled path: a graph above the two-thread inline cutoff
+    // (2 × 1024 nodes), so `run_parallel_with(_, 2)` really splits it,
+    // and a 3-part `run_sharded`, which runs its parts whatever the size.
+    let big = generators::gnp(2500, 0.003, &mut rng);
+    let pooled_once = |rounds: usize, sharded: bool| {
+        let config = SimConfig::local().with_max_rounds(rounds);
+        let engine = Engine::build(&big, config, |_| Chatter);
+        let partition = ShardPartition::contiguous(big.num_nodes(), 3);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let stats = if sharded {
+            engine.run_sharded(42, &partition).outcome.stats
+        } else {
+            engine.run_parallel_with(42, 2).stats
         };
-        // Minimum over attempts, for the same ambient-noise reason as
-        // `allocations_for`.
-        let run_par = |rounds: usize| (0..5).map(|_| run_par_once(rounds)).min().unwrap();
-        assert_eq!(
-            run_par(8),
-            run_par(64),
-            "run_parallel's single-thread fallback allocated per round"
-        );
-    }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(stats.rounds, rounds);
+        after - before
+    };
+    // Warm the pool: the first lease spawns the helpers (and each helper
+    // thread's first allocation sets up its own bookkeeping).
+    pooled_once(8, false);
+    pooled_once(8, true);
+    // Minimum over attempts, for the same ambient-noise reason as
+    // `allocations_for`.
+    let pooled =
+        |rounds: usize, sharded: bool| (0..5).map(|_| pooled_once(rounds, sharded)).min().unwrap();
+    assert_eq!(
+        pooled(8, false),
+        pooled(64, false),
+        "run_parallel_with(_, 2) allocated per round"
+    );
+    assert_eq!(
+        pooled(8, true),
+        pooled(64, true),
+        "3-part run_sharded allocated per round"
+    );
 }

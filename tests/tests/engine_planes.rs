@@ -4,11 +4,11 @@
 //! exact pre-refactor behavior is pinned by recorded FNV fingerprints in
 //! `congest_sim`'s unit tests. These properties cover what fingerprints
 //! can't: on *arbitrary* random topologies (G(n,p), Watts–Strogatz,
-//! Holme–Kim power-law-cluster), the sequential and parallel executors
+//! Holme–Kim power-law-cluster), the one-part and multi-part executors
 //! must agree bit-for-bit, runs must be reproducible, and the port-ordered
 //! inbox must drive Luby's MIS to a verifiable maximal independent set.
 
-use congest_graph::Graph;
+use congest_graph::{Graph, ShardPartition};
 use congest_mis::{verify_mis, LubyMis};
 use congest_sim::{Adversary, AsyncScheduler, Engine, SimConfig};
 use proptest::prelude::*;
@@ -32,18 +32,21 @@ fn arb_topology() -> impl Strategy<Value = Graph> {
 }
 
 /// Strategy: an arbitrary combination of the fault knobs — each axis
-/// independently off or at a meaningful dose — plus an optional async
-/// scheduler. Covers single-axis schedules and the all-knobs-at-once
-/// corner.
+/// independently off or at a meaningful dose, topology churn included —
+/// plus an optional async scheduler. Covers single-axis schedules and the
+/// all-knobs-at-once corner.
 fn arb_faults() -> impl Strategy<Value = (Adversary, Option<AsyncScheduler>)> {
     const PROBS: [f64; 3] = [0.0, 0.1, 0.4];
     const DELAYS: [usize; 3] = [0, 1, 4];
     (
         (0u8..3, 0u8..3, 0u8..3, 0u8..3),
-        (0u8..2, 0u8..2, 0u8..3, 0u64..1 << 16),
+        (0u8..2, 0u8..2, 0u8..3, 0u8..3, 0u64..1 << 16),
     )
         .prop_map(
-            |((drop_i, dup_i, reorder_i, corrupt_i), (crash_i, restart_i, delay_i, seed))| {
+            |(
+                (drop_i, dup_i, reorder_i, corrupt_i),
+                (crash_i, restart_i, delay_i, churn_i, seed),
+            )| {
                 let mut adv = Adversary::default()
                     .with_seed(seed)
                     .with_drop_prob(PROBS[drop_i as usize])
@@ -54,6 +57,12 @@ fn arb_faults() -> impl Strategy<Value = (Adversary, Option<AsyncScheduler>)> {
                 if restart_i == 1 {
                     adv = adv.with_restart_after(2);
                 }
+                // Churn: off, link flips, or nodes leaving and rejoining.
+                adv = match churn_i {
+                    0 => adv,
+                    1 => adv.with_edge_flip_prob(0.05),
+                    _ => adv.with_node_join_prob(0.3).with_node_leave_prob(0.03),
+                };
                 let max_delay = DELAYS[delay_i as usize];
                 let sched =
                     (max_delay > 0).then(|| AsyncScheduler::uniform(max_delay, seed ^ 0xA5));
@@ -79,7 +88,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `run` and `run_parallel` share the flat mailboxes; outputs and
-    /// statistics must be identical for every topology and seed.
+    /// statistics must be identical for every topology and seed. (These
+    /// graphs are below the inline cutoff, so `run_parallel` is one part
+    /// here; the fault-knob property below splits them.)
     #[test]
     fn sequential_and_parallel_agree_on_random_topologies(
         g in arb_topology(),
@@ -127,10 +138,15 @@ proptest! {
     }
 
     /// Every fault knob — drops, duplication, reordering, corruption,
-    /// crashes (with and without restart), async delays, and their
-    /// combinations — must produce the *same* run from the sequential and
-    /// parallel executors on every topology family: all fault coins are
-    /// pure in (seed, round, coordinates), never in execution order.
+    /// crashes (with and without restart), topology churn, async delays,
+    /// and their combinations — must produce the *same* run from `run`
+    /// and from `run_sharded` over 1, 2, 3 and 7 contiguous parts, and
+    /// over more parts than nodes (so some parts are empty), on every
+    /// topology family: all fault coins are pure in (seed, round,
+    /// coordinates), never in execution order. `run_sharded` runs its
+    /// parts whatever the graph size, so this drives the helper threads,
+    /// the phase barrier, per-part compaction, and the per-part slot
+    /// lookups of restarts and churn.
     #[test]
     fn executors_agree_under_every_fault_knob(
         g in arb_topology(),
@@ -140,9 +156,17 @@ proptest! {
         let (adv, sched) = faults;
         let config = faulty_config(&g, adv, sched);
         let seq = Engine::build(&g, config.clone(), |_| LubyMis::new()).run(seed);
-        let par = Engine::build(&g, config, |_| LubyMis::new()).run_parallel(seed);
-        prop_assert_eq!(seq.outputs, par.outputs);
-        prop_assert_eq!(seq.stats, par.stats);
+        let par = Engine::build(&g, config.clone(), |_| LubyMis::new()).run_parallel(seed);
+        prop_assert_eq!(&seq.outputs, &par.outputs);
+        prop_assert_eq!(&seq.stats, &par.stats);
+        for k in [1, 2, 3, 7, g.num_nodes() + 2] {
+            let parts = ShardPartition::contiguous(g.num_nodes(), k);
+            let sharded = Engine::build(&g, config.clone(), |_| LubyMis::new())
+                .run_sharded(seed, &parts);
+            prop_assert_eq!(sharded.shards, k);
+            prop_assert_eq!(&seq.outputs, &sharded.outcome.outputs);
+            prop_assert_eq!(&seq.stats, &sharded.outcome.stats);
+        }
     }
 
     /// The traced (compaction-off) and compacted delivery paths must also
