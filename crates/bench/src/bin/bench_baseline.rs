@@ -49,6 +49,8 @@
 
 use congest_approx::matching::{grouped_mwm_repair, mwm_grouped};
 use congest_approx::maxis::{alg2, Alg2Config};
+use congest_bench::ledger::{append_to_file, json_object, json_str};
+use congest_bench::{flag_value, graph_json, parse_list};
 use congest_coloring::RandomizedColoring;
 use congest_graph::{generators, DeltaGraph, DeltaSet, Graph, NodeId};
 use congest_mis::{luby_repair, LubyMis, MisResult};
@@ -56,6 +58,7 @@ use congest_sim::{plane_bytes_for, run_protocol, Engine, SimConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::fmt::Display;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -111,7 +114,6 @@ fn graph_for(n: usize) -> (Graph, &'static str) {
 
 /// One Luby benchmark record for graph `g` at `threads` workers.
 fn record_for(g: &Graph, family: &str, n: usize, threads: usize, samples: usize) -> String {
-    let p = 8.0 / n as f64;
     let config = SimConfig::congest_for(g);
     // Fault-free runs keep a single receive plane (ring length 1).
     let plane_bytes = plane_bytes_for(g, 1);
@@ -145,11 +147,23 @@ fn record_for(g: &Graph, family: &str, n: usize, threads: usize, samples: usize)
     let run_ns = median_ns(run_samples);
     let run_parallel_ns = median_ns(run_parallel_samples);
 
-    format!(
-        "  {{\n    \"bench\": \"engine_gnp_luby\",\n    \"graph\": {{ \"family\": \"{family}\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"LubyMis\",\n    \"samples\": {samples},\n    \"threads\": {threads},\n    \"host_threads\": {host},\n    \"plane_bytes\": {plane_bytes},\n    \"median_ns\": {{\n      \"build\": {build_ns},\n      \"run\": {run_ns},\n      \"run_parallel\": {run_parallel_ns}\n    }}\n  }}",
-        m = g.num_edges(),
-        host = host_threads(),
-    )
+    json_object(&[
+        ("bench", json_str("engine_gnp_luby")),
+        ("graph", graph_json(family, n, g.num_edges())),
+        ("protocol", json_str("LubyMis")),
+        ("samples", samples.to_string()),
+        ("threads", threads.to_string()),
+        ("host_threads", host_threads().to_string()),
+        ("plane_bytes", plane_bytes.to_string()),
+        (
+            "median_ns",
+            json_object(&[
+                ("build", build_ns.to_string()),
+                ("run", run_ns.to_string()),
+                ("run_parallel", run_parallel_ns.to_string()),
+            ]),
+        ),
+    ])
 }
 
 /// One end-to-end ride-along record (driver latency, on the drivers'
@@ -162,7 +176,6 @@ fn ride_along_record(
     protocol: &str,
     mut total: impl FnMut(u64),
 ) -> String {
-    let p = 8.0 / n as f64;
     // Every ride-along driver runs on `SimConfig::congest_for`'s default
     // thread count.
     let threads = SimConfig::congest_for(g).threads_for(n);
@@ -175,12 +188,16 @@ fn ride_along_record(
             start.elapsed().as_nanos()
         })
     };
-    format!(
-        "  {{\n    \"bench\": \"protocol_gnp_{name}\",\n    \"graph\": {{ \"family\": \"{family}\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"samples\": {samples},\n    \"threads\": {threads},\n    \"host_threads\": {host},\n    \"median_ns\": {{\n      \"total\": {total_ns}\n    }}\n  }}",
-        name = protocol.to_lowercase(),
-        m = g.num_edges(),
-        host = host_threads(),
-    )
+    let bench = format!("protocol_gnp_{}", protocol.to_lowercase());
+    json_object(&[
+        ("bench", json_str(&bench)),
+        ("graph", graph_json(family, n, g.num_edges())),
+        ("protocol", json_str(protocol)),
+        ("samples", samples.to_string()),
+        ("threads", threads.to_string()),
+        ("host_threads", host_threads().to_string()),
+        ("median_ns", json_object(&[("total", total_ns.to_string())])),
+    ])
 }
 
 /// Applies `k` seeded edge flips (remove if present, insert otherwise)
@@ -222,7 +239,6 @@ fn churn_record(
     mut recompute: impl FnMut(u64) -> usize,
 ) -> String {
     let n = g2.num_nodes();
-    let p = 8.0 / n as f64;
     let mut repair_rounds = 0;
     let mut recompute_rounds = 0;
     let repair_ns = {
@@ -248,14 +264,23 @@ fn churn_record(
         "{bench} n={n} k={k}: repair took {repair_rounds} rounds, \
          recompute {recompute_rounds} — repair must be strictly cheaper"
     );
-    format!(
-        "  {{\n    \"bench\": \"{bench}\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"protocol\": \"{protocol}\",\n    \"k_flips\": {k},\n    \"samples\": {samples},\n    \"threads\": {{\n      \"repair\": 1,\n      \"recompute\": {recompute_threads}\n    }},\n    \"host_threads\": {host},\n    \"rounds\": {{\n      \"repair\": {repair_rounds},\n      \"recompute\": {recompute_rounds}\n    }},\n    \"median_ns\": {{\n      \"repair\": {repair_ns},\n      \"recompute\": {recompute_ns}\n    }}\n  }}",
-        m = g2.num_edges(),
-        host = host_threads(),
-        // Repairs pass `parallel: false`; recomputation runs on the
-        // drivers' default thread count.
-        recompute_threads = SimConfig::congest_for(g2).threads_for(n),
-    )
+    // Repairs pass `parallel: false`; recomputation runs on the drivers'
+    // default thread count.
+    let recompute_threads = SimConfig::congest_for(g2).threads_for(n);
+    let pair = |a: &dyn Display, b: &dyn Display| {
+        json_object(&[("repair", a.to_string()), ("recompute", b.to_string())])
+    };
+    json_object(&[
+        ("bench", json_str(bench)),
+        ("graph", graph_json("gnp", n, g2.num_edges())),
+        ("protocol", json_str(protocol)),
+        ("k_flips", k.to_string()),
+        ("samples", samples.to_string()),
+        ("threads", pair(&1, &recompute_threads)),
+        ("host_threads", host_threads().to_string()),
+        ("rounds", pair(&repair_rounds, &recompute_rounds)),
+        ("median_ns", pair(&repair_ns, &recompute_ns)),
+    ])
 }
 
 /// The `--churn` matrix: for n ∈ {10k, 100k} and k ∈ {16, 256} edge
@@ -310,21 +335,6 @@ fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Parses a comma-separated list of positive integers.
-fn parse_list(flag: &str, v: &str) -> Vec<usize> {
-    let xs: Vec<usize> = v
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} entries must be integers, got {s:?}"))
-        })
-        .collect();
-    assert!(!xs.is_empty(), "{flag} needs at least one value");
-    assert!(xs.iter().all(|&x| x > 0), "{flag} entries must be positive");
-    xs
-}
-
 fn main() {
     let mut out_path = "BENCH_engine.json".to_string();
     let mut samples = DEFAULT_SAMPLES;
@@ -334,16 +344,7 @@ fn main() {
     let mut churn = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Option<String> {
-            if arg == name {
-                Some(
-                    args.next()
-                        .unwrap_or_else(|| panic!("{name} needs a value")),
-                )
-            } else {
-                arg.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
+        let mut take = |name: &str| flag_value(&arg, name, &mut args);
         if let Some(v) = take("--samples") {
             samples = v.parse().expect("--samples value must be an integer");
             assert!(samples > 0, "--samples must be positive");
@@ -370,7 +371,7 @@ fn main() {
     // recomputation on post-flip graphs and appends those rows only.
     if churn {
         let records = churn_records(samples);
-        let json = congest_bench::ledger::append_to_file(&out_path, &records);
+        let json = append_to_file(&out_path, &records);
         println!("wrote {out_path}:\n{json}");
         return;
     }
@@ -418,6 +419,6 @@ fn main() {
     // The append semantics (array creation, legacy single-object
     // wrapping, corrupt-file refusal) live in the shared ledger module so
     // the perf baseline and the conformance harness cannot drift apart.
-    let json = congest_bench::ledger::append_to_file(&out_path, &records);
+    let json = append_to_file(&out_path, &records);
     println!("wrote {out_path}:\n{json}");
 }

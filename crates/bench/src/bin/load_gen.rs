@@ -1,8 +1,8 @@
 //! Load generator for the matching service (`crates/service`).
 //!
 //! Drives hundreds of thousands of simulated requests through the
-//! batched in-process frontend over a (shards × max-batch) matrix and
-//! *appends* one record per cell — throughput plus p50/p95/p99 request
+//! batched in-process frontend for each shard count and *appends* one
+//! record per cell — throughput plus p50/p95/p99 request
 //! latency, response-kind counts, and cache behaviour — to
 //! `SERVICE_engine.json`, the checked-in JSON-array ledger successive
 //! PRs extend (same storage convention as `BENCH_engine.json`; see
@@ -11,7 +11,7 @@
 //! ```text
 //! cargo run --release -p congest-bench --bin load_gen \
 //!     [-- PATH] [--requests N] [--nodes N] [--clients C] \
-//!     [--shards a,b] [--batches a,b] [--mutate-every K]
+//!     [--shards a,b] [--mutate-every K]
 //! ```
 //!
 //! The workload is a read-mostly mix: independence and mate lookups
@@ -24,15 +24,19 @@
 //! asserts there are none.
 //!
 //! `--requests` is the total per cell, split across `--clients` client
-//! threads (default 4 × 50k = 200k per cell, 4 cells — well into the
+//! threads (default 4 × 50k = 200k per cell, 2 cells — well into the
 //! "hundreds of thousands" the service tier is sized for; CI uses a
-//! tiny count, same schema).
+//! tiny count, same schema). Each client blocks on its request, so the
+//! worker never drains a batch larger than `clients`; records carry the
+//! count so the ledger check can hold `max_batch_seen` to it.
 
 // Wall-clock measurement and CLI parsing are this binary's entire job;
 // the workspace-wide ban (clippy.toml / congest-lint
 // no-ambient-nondeterminism) targets protocol code, not the bench tier.
 #![allow(clippy::disallowed_methods)]
 
+use congest_bench::ledger::{append_to_file, json_object, json_str};
+use congest_bench::{flag_value, graph_json, parse_list};
 use congest_graph::{generators, DeltaGraph, Graph, NodeId};
 use congest_service::{
     DeltaOp, MatchingService, Request, Response, ServiceClient, ServiceConfig, ServiceServer,
@@ -41,7 +45,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Default total requests per (shards × max-batch) cell.
+/// Default total requests per shard-count cell.
 const DEFAULT_REQUESTS: usize = 200_000;
 
 /// Default service graph size (average degree 8).
@@ -53,52 +57,32 @@ const DEFAULT_CLIENTS: usize = 4;
 /// Default shard counts of the matrix.
 const DEFAULT_SHARDS: [usize; 2] = [1, 4];
 
-/// Default max-batch values of the matrix.
-const DEFAULT_BATCHES: [usize; 2] = [1, 16];
-
 /// The mutator client applies one delta batch every this many of its
 /// own requests.
 const DEFAULT_MUTATE_EVERY: usize = 2_048;
 
-/// Per-response-kind counters a client accumulates locally.
+/// The response kinds, in ledger order.
+const KINDS: &str = "matching mis independent mate applied fingerprint stats overloaded error";
+
+/// Per-response-kind counters a client accumulates locally, indexed
+/// like [`KINDS`].
 #[derive(Clone, Copy, Default)]
-struct Counts {
-    matching: u64,
-    mis: u64,
-    independent: u64,
-    mate: u64,
-    applied: u64,
-    fingerprint: u64,
-    stats: u64,
-    overloaded: u64,
-    error: u64,
-}
+struct Counts([u64; 9]);
 
 impl Counts {
     fn absorb(&mut self, resp: &Response) {
-        match resp {
-            Response::Matching { .. } => self.matching += 1,
-            Response::Mis { .. } => self.mis += 1,
-            Response::Independent(_) => self.independent += 1,
-            Response::Mate { .. } => self.mate += 1,
-            Response::Applied { .. } => self.applied += 1,
-            Response::FingerprintIs(_) => self.fingerprint += 1,
-            Response::StatsSnapshot { .. } => self.stats += 1,
-            Response::Overloaded => self.overloaded += 1,
-            Response::Error(_) => self.error += 1,
-        }
-    }
-
-    fn merge(&mut self, other: &Counts) {
-        self.matching += other.matching;
-        self.mis += other.mis;
-        self.independent += other.independent;
-        self.mate += other.mate;
-        self.applied += other.applied;
-        self.fingerprint += other.fingerprint;
-        self.stats += other.stats;
-        self.overloaded += other.overloaded;
-        self.error += other.error;
+        let kind = match resp {
+            Response::Matching { .. } => 0,
+            Response::Mis { .. } => 1,
+            Response::Independent(_) => 2,
+            Response::Mate { .. } => 3,
+            Response::Applied { .. } => 4,
+            Response::FingerprintIs(_) => 5,
+            Response::StatsSnapshot { .. } => 6,
+            Response::Overloaded => 7,
+            Response::Error(_) => 8,
+        };
+        self.0[kind] += 1;
     }
 }
 
@@ -190,13 +174,12 @@ struct CellResult {
     fingerprint: u64,
 }
 
-/// Runs one (shards, max_batch) cell: spawns the service and `clients`
-/// threads splitting `requests` between them, client 0 doubling as the
-/// sole mutator.
+/// Runs one shard-count cell: spawns the service and `clients` threads
+/// splitting `requests` between them, client 0 doubling as the sole
+/// mutator.
 fn run_cell(
     g: &Graph,
     shards: usize,
-    max_batch: usize,
     requests: usize,
     clients: usize,
     mutate_every: usize,
@@ -205,7 +188,6 @@ fn run_cell(
         g.clone(),
         ServiceConfig {
             shards,
-            max_batch,
             ..ServiceConfig::default()
         },
     );
@@ -257,7 +239,9 @@ fn run_cell(
     let mut counts = Counts::default();
     let mut latencies_ns = Vec::with_capacity(requests);
     for (c, lat) in worker_results.drain(..) {
-        counts.merge(&c);
+        for (total, n) in counts.0.iter_mut().zip(c.0) {
+            *total += n;
+        }
         latencies_ns.extend(lat);
     }
     latencies_ns.sort_unstable();
@@ -273,47 +257,39 @@ fn run_cell(
     }
 }
 
-fn record_for(g: &Graph, n: usize, shards: usize, max_batch: usize, r: &CellResult) -> String {
-    let p = 8.0 / n as f64;
+fn record_for(g: &Graph, n: usize, shards: usize, clients: usize, r: &CellResult) -> String {
     let total = r.latencies_ns.len();
     let throughput_rps = total as f64 * 1e9 / r.wall_ns as f64;
-    let c = &r.counts;
-    format!(
-        "  {{\n    \"suite\": \"service\",\n    \"bench\": \"load_gen\",\n    \"graph\": {{ \"family\": \"gnp\", \"n\": {n}, \"p\": {p}, \"seed\": {n}, \"edges\": {m} }},\n    \"shards\": {shards},\n    \"max_batch\": {max_batch},\n    \"requests\": {total},\n    \"responses\": {{ \"matching\": {matching}, \"mis\": {mis}, \"independent\": {independent}, \"mate\": {mate}, \"applied\": {applied}, \"fingerprint\": {fingerprint}, \"stats\": {stats}, \"overloaded\": {overloaded}, \"error\": {error} }},\n    \"cache\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n    \"batches_served\": {batches},\n    \"max_batch_seen\": {max_seen},\n    \"final_fingerprint\": {fp},\n    \"throughput_rps\": {throughput_rps:.1},\n    \"latency_ns\": {{ \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99} }}\n  }}",
-        m = g.num_edges(),
-        matching = c.matching,
-        mis = c.mis,
-        independent = c.independent,
-        mate = c.mate,
-        applied = c.applied,
-        fingerprint = c.fingerprint,
-        stats = c.stats,
-        overloaded = c.overloaded,
-        error = c.error,
-        hits = r.cache_hits,
-        misses = r.cache_misses,
-        batches = r.batches_served,
-        max_seen = r.max_batch_seen,
-        fp = r.fingerprint,
-        p50 = percentile_ns(&r.latencies_ns, 50),
-        p95 = percentile_ns(&r.latencies_ns, 95),
-        p99 = percentile_ns(&r.latencies_ns, 99),
-    )
-}
-
-/// Parses a comma-separated list of positive integers.
-fn parse_list(flag: &str, v: &str) -> Vec<usize> {
-    let xs: Vec<usize> = v
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} entries must be integers, got {s:?}"))
-        })
-        .collect();
-    assert!(!xs.is_empty(), "{flag} needs at least one value");
-    assert!(xs.iter().all(|&x| x > 0), "{flag} entries must be positive");
-    xs
+    let counts = KINDS.split(' ').zip(r.counts.0);
+    let responses: Vec<(&str, String)> = counts.map(|(k, n)| (k, n.to_string())).collect();
+    json_object(&[
+        ("suite", json_str("service")),
+        ("bench", json_str("load_gen")),
+        ("graph", graph_json("gnp", n, g.num_edges())),
+        ("shards", shards.to_string()),
+        ("clients", clients.to_string()),
+        ("requests", total.to_string()),
+        ("responses", json_object(&responses)),
+        (
+            "cache",
+            json_object(&[
+                ("hits", r.cache_hits.to_string()),
+                ("misses", r.cache_misses.to_string()),
+            ]),
+        ),
+        ("batches_served", r.batches_served.to_string()),
+        ("max_batch_seen", r.max_batch_seen.to_string()),
+        ("final_fingerprint", r.fingerprint.to_string()),
+        ("throughput_rps", format!("{throughput_rps:.1}")),
+        (
+            "latency_ns",
+            json_object(&[
+                ("p50", percentile_ns(&r.latencies_ns, 50).to_string()),
+                ("p95", percentile_ns(&r.latencies_ns, 95).to_string()),
+                ("p99", percentile_ns(&r.latencies_ns, 99).to_string()),
+            ]),
+        ),
+    ])
 }
 
 fn main() {
@@ -322,20 +298,10 @@ fn main() {
     let mut nodes = DEFAULT_NODES;
     let mut clients = DEFAULT_CLIENTS;
     let mut shards: Vec<usize> = DEFAULT_SHARDS.to_vec();
-    let mut batches: Vec<usize> = DEFAULT_BATCHES.to_vec();
     let mut mutate_every = DEFAULT_MUTATE_EVERY;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Option<String> {
-            if arg == name {
-                Some(
-                    args.next()
-                        .unwrap_or_else(|| panic!("{name} needs a value")),
-                )
-            } else {
-                arg.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
+        let mut take = |name: &str| flag_value(&arg, name, &mut args);
         if let Some(v) = take("--requests") {
             requests = v.parse().expect("--requests value must be an integer");
             assert!(requests > 0, "--requests must be positive");
@@ -347,8 +313,6 @@ fn main() {
             assert!(clients > 0, "--clients must be positive");
         } else if let Some(v) = take("--shards") {
             shards = parse_list("--shards", &v);
-        } else if let Some(v) = take("--batches") {
-            batches = parse_list("--batches", &v);
         } else if let Some(v) = take("--mutate-every") {
             mutate_every = v.parse().expect("--mutate-every value must be an integer");
             assert!(mutate_every > 0, "--mutate-every must be positive");
@@ -356,7 +320,7 @@ fn main() {
             // Don't let a flag typo silently become the output path.
             panic!(
                 "unknown flag {arg}; usage: load_gen [PATH] [--requests N] [--nodes N] \
-                 [--clients C] [--shards a,b] [--batches a,b] [--mutate-every K]"
+                 [--clients C] [--shards a,b] [--mutate-every K]"
             );
         } else {
             out_path = arg;
@@ -369,24 +333,21 @@ fn main() {
 
     let mut records = Vec::new();
     for &s in &shards {
-        for &b in &batches {
-            eprintln!(
-                "load_gen: n = {nodes}, shards = {s}, max_batch = {b}, \
-                 {requests} requests over {clients} clients..."
-            );
-            let cell = run_cell(&g, s, b, requests, clients, mutate_every);
-            eprintln!(
-                "load_gen: shards = {s}, max_batch = {b}: {rps:.0} req/s, p50 {p50} ns, \
-                 {hits} cache hits / {misses} misses, max batch {mb}",
-                rps = cell.latencies_ns.len() as f64 * 1e9 / cell.wall_ns as f64,
-                p50 = percentile_ns(&cell.latencies_ns, 50),
-                hits = cell.cache_hits,
-                misses = cell.cache_misses,
-                mb = cell.max_batch_seen,
-            );
-            records.push(record_for(&g, nodes, s, b, &cell));
-        }
+        eprintln!(
+            "load_gen: n = {nodes}, shards = {s}, {requests} requests over {clients} clients..."
+        );
+        let cell = run_cell(&g, s, requests, clients, mutate_every);
+        eprintln!(
+            "load_gen: shards = {s}: {rps:.0} req/s, p50 {p50} ns, \
+             {hits} cache hits / {misses} misses, max batch {mb}",
+            rps = cell.latencies_ns.len() as f64 * 1e9 / cell.wall_ns as f64,
+            p50 = percentile_ns(&cell.latencies_ns, 50),
+            hits = cell.cache_hits,
+            misses = cell.cache_misses,
+            mb = cell.max_batch_seen,
+        );
+        records.push(record_for(&g, nodes, s, clients, &cell));
     }
-    let json = congest_bench::ledger::append_to_file(&out_path, &records);
+    let json = append_to_file(&out_path, &records);
     println!("wrote {out_path}:\n{json}");
 }

@@ -9,6 +9,54 @@
 
 pub mod ledger;
 
+/// The `graph` object of a perf record: the average-degree-8 instance
+/// of size `n` (seeded with `n`) that `bench_baseline` and `load_gen`
+/// generate, with its family name and edge count.
+pub fn graph_json(family: &str, n: usize, edges: usize) -> String {
+    ledger::json_object(&[
+        ("family", ledger::json_str(family)),
+        ("n", n.to_string()),
+        ("p", (8.0 / n as f64).to_string()),
+        ("seed", n.to_string()),
+        ("edges", edges.to_string()),
+    ])
+}
+
+/// The value of the CLI flag `name` if `arg` is that flag, given as
+/// `name=VALUE` or as `name` followed by the next of `rest`.
+pub fn flag_value(
+    arg: &str,
+    name: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<String> {
+    if arg == name {
+        Some(
+            rest.next()
+                .unwrap_or_else(|| panic!("{name} needs a value")),
+        )
+    } else {
+        arg.strip_prefix(name)?
+            .strip_prefix('=')
+            .map(str::to_string)
+    }
+}
+
+/// Parses the value of the CLI flag `flag`: a comma-separated list of
+/// positive integers. Panics naming the flag on anything else.
+pub fn parse_list(flag: &str, v: &str) -> Vec<usize> {
+    let xs: Vec<usize> = v
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("{flag} entries must be integers, got {s:?}"))
+        })
+        .collect();
+    assert!(!xs.is_empty(), "{flag} needs at least one value");
+    assert!(xs.iter().all(|&x| x > 0), "{flag} entries must be positive");
+    xs
+}
+
 /// Mean of a sample.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

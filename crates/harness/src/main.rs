@@ -1,70 +1,47 @@
 //! Conformance-harness entry point.
 //!
 //! ```text
-//! cargo run --release -p harness [-- PATH] [--samples small|full]
-//!                                [--degradation PATH] [--churn PATH]
-//!                                [--service PATH]
+//! cargo run --release -p harness [-- --out-dir DIR] [--samples small|full]
 //! ```
 //!
 //! Runs the full scenario matrix (see `congest_harness`), panicking on
-//! any violated guarantee, then *appends* one record per cell to the
-//! JSON-array ledger at `PATH` (default `QUALITY_engine.json`) — the
-//! same append-only convention as `BENCH_engine.json`, via the shared
-//! [`congest_bench::ledger`] module — and prints a summary table.
-//! The degradation grid (protocol × fault axis × intensity; see
-//! `congest_harness::degradation`) is appended to its own ledger at
-//! the `--degradation` path (default `DEGRADATION_engine.json`), and
-//! the churn grid plus its gnp-10k repair acceptance rows (see
-//! `congest_harness::churn`) to the `--churn` path (default
-//! `CHURN_engine.json`). The service oracle grid (request surface ×
-//! topology × weighting × shard count; see `congest_harness::service`)
-//! is appended to the `--service` path (default `SERVICE_engine.json`,
-//! shared with the `load_gen` throughput records).
+//! any violated guarantee, prints a summary table per suite, and
+//! *appends* the records to the JSON-array ledgers in `DIR` (default
+//! `.`, the checked-in ones) via [`congest_bench::ledger`]: conformance
+//! and fault records to `QUALITY_engine.json`, the degradation grid
+//! (`congest_harness::degradation`) to `DEGRADATION_engine.json`, the
+//! churn grid and its gnp-10k repair acceptance rows
+//! (`congest_harness::churn`) to `CHURN_engine.json`, and the service
+//! oracle grid (`congest_harness::service`) to `SERVICE_engine.json`,
+//! which `load_gen` shares.
 //!
 //! `--samples small` sweeps one engine seed per cell (the CI smoke
 //! setting); `--samples full` (default) sweeps three.
 
-use congest_bench::Table;
+use congest_bench::ledger::append_to_file;
+use congest_bench::{flag_value, Table};
 use congest_harness::{
     churn_acceptance, churn_suite, conformance_suite, degradation_suite, fault_suite,
     service_suite, SampleSize,
 };
 
 fn main() {
-    let mut out_path = "QUALITY_engine.json".to_string();
-    let mut degradation_path = "DEGRADATION_engine.json".to_string();
-    let mut churn_path = "CHURN_engine.json".to_string();
-    let mut service_path = "SERVICE_engine.json".to_string();
+    let mut out_dir = ".".to_string();
     let mut samples = SampleSize::Full;
     // CLI flag parsing is this binary's job; the workspace-wide ban
     // (clippy.toml) targets protocol code, not the harness entry point.
     #[allow(clippy::disallowed_methods)]
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--samples" {
-            let v = args.next().expect("--samples needs small|full");
+        let mut take = |name: &str| flag_value(&arg, name, &mut args);
+        if let Some(v) = take("--samples") {
             samples = parse_samples(&v);
-        } else if let Some(v) = arg.strip_prefix("--samples=") {
-            samples = parse_samples(v);
-        } else if arg == "--degradation" {
-            degradation_path = args.next().expect("--degradation needs a path");
-        } else if let Some(v) = arg.strip_prefix("--degradation=") {
-            degradation_path = v.to_string();
-        } else if arg == "--churn" {
-            churn_path = args.next().expect("--churn needs a path");
-        } else if let Some(v) = arg.strip_prefix("--churn=") {
-            churn_path = v.to_string();
-        } else if arg == "--service" {
-            service_path = args.next().expect("--service needs a path");
-        } else if let Some(v) = arg.strip_prefix("--service=") {
-            service_path = v.to_string();
-        } else if arg.starts_with('-') {
-            // Don't let a flag typo silently become the output path.
-            panic!(
-                "unknown flag {arg}; usage: harness [PATH] [--samples small|full] [--degradation PATH] [--churn PATH] [--service PATH]"
-            );
+        } else if let Some(v) = take("--out-dir") {
+            out_dir = v;
         } else {
-            out_path = arg;
+            panic!(
+                "unexpected argument {arg}; usage: harness [--out-dir DIR] [--samples small|full]"
+            );
         }
     }
 
@@ -204,32 +181,27 @@ fn main() {
     }
     service_table.print();
 
-    let records: Vec<String> = conformance
-        .iter()
-        .map(|r| r.to_json())
-        .chain(faults.iter().map(|r| r.to_json()))
-        .collect();
-    congest_bench::ledger::append_to_file(&out_path, &records);
-    let degradation_records: Vec<String> = degradation.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&degradation_path, &degradation_records);
-    println!(
-        "wrote {out_path}: {} conformance + {} fault records, all bounds held",
-        conformance.len(),
-        faults.len()
-    );
-    println!(
-        "wrote {degradation_path}: {} degradation records",
-        degradation.len()
-    );
-    let churn_records: Vec<String> = churn.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&churn_path, &churn_records);
-    println!("wrote {churn_path}: {} churn records", churn.len());
-    let service_records: Vec<String> = service.iter().map(|r| r.to_json()).collect();
-    congest_bench::ledger::append_to_file(&service_path, &service_records);
-    println!(
-        "wrote {service_path}: {} service oracle records",
-        service.len()
-    );
+    let quality = conformance.iter().map(|r| r.to_json());
+    let quality: Vec<String> = quality.chain(faults.iter().map(|r| r.to_json())).collect();
+    for (file, records) in [
+        ("QUALITY_engine.json", quality),
+        (
+            "DEGRADATION_engine.json",
+            degradation.iter().map(|r| r.to_json()).collect(),
+        ),
+        (
+            "CHURN_engine.json",
+            churn.iter().map(|r| r.to_json()).collect(),
+        ),
+        (
+            "SERVICE_engine.json",
+            service.iter().map(|r| r.to_json()).collect(),
+        ),
+    ] {
+        let path = format!("{out_dir}/{file}");
+        append_to_file(&path, &records);
+        println!("wrote {path}: {} records", records.len());
+    }
 }
 
 fn parse_samples(v: &str) -> SampleSize {

@@ -2,10 +2,10 @@
 //! `std::net` TCP listener speaking the [`wire`](crate::wire) frames.
 //!
 //! The in-process path is the primary one: a single worker thread owns
-//! the service and drains the shared queue in FIFO batches of at most
-//! [`ServiceConfig::max_batch`](crate::ServiceConfig::max_batch)
-//! requests. Admission control happens at submit time — a client whose
-//! request would push the queue past `queue_capacity` gets
+//! the service and drains every queued request as one FIFO batch
+//! (clients block on each request, so a batch never outgrows them).
+//! Admission control happens at submit time — a client whose request
+//! would push the queue past `queue_capacity` gets
 //! [`Response::Overloaded`] immediately and the worker never sees it.
 //! Because one thread applies all requests in arrival order, a single
 //! client's trace always yields the same response sequence, whatever
@@ -94,10 +94,9 @@ pub struct ServiceServer {
 }
 
 impl ServiceServer {
-    /// Spawns the worker thread. Queue capacity and batch size come
-    /// from the service's [`ServiceConfig`](crate::ServiceConfig).
+    /// Spawns the worker thread. Queue capacity comes from the
+    /// service's [`ServiceConfig`](crate::ServiceConfig).
     pub fn spawn(mut service: MatchingService) -> ServiceServer {
-        let max_batch = service.config().max_batch.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -113,8 +112,7 @@ impl ServiceServer {
                 while q.is_empty() {
                     q = worker_shared.available.wait(q).unwrap();
                 }
-                let take = q.len().min(max_batch);
-                q.drain(..take).collect()
+                q.drain(..).collect()
             };
             worker_shared.batches_served.fetch_add(1, Ordering::Relaxed);
             worker_shared

@@ -42,8 +42,6 @@ pub struct ServiceConfig {
     /// runs. Responses are bit-identical for every value; only
     /// wall-clock and the cross-shard traffic meter change.
     pub shards: usize,
-    /// Most requests a frontend worker drains per batch.
-    pub max_batch: usize,
     /// Admission control: requests beyond this many waiting in the
     /// queue are rejected with [`Response::Overloaded`].
     pub queue_capacity: usize,
@@ -58,7 +56,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 1,
-            max_batch: 16,
             queue_capacity: 1024,
             cache_capacity: 8,
             seed: 0xC0FFEE,
