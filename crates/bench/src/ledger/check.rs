@@ -3,9 +3,11 @@
 //! A check returns every violation, as `FILE[record]: rule` or, for a
 //! rule about the whole file, `FILE: rule`. The `ledger-check` binary
 //! and the tier-1 test `crates/bench/tests/ledgers.rs` both run
-//! [`check_dir`], on fresh and on checked-in ledgers alike. Rules cover
-//! the grid a ledger promises, each record kind's fields and guarantees,
-//! and keys that must obey a rule wherever they occur in a record.
+//! [`check_dir`], on fresh and on checked-in ledgers alike; the
+//! `tests/tests/*_schema.rs` tests each keep the violations whose rule
+//! text names their topic. Rules cover the grid a ledger promises, each
+//! record kind's fields and guarantees, and keys that must obey a rule
+//! wherever they occur in a record.
 //! Rows written before a field existed skip the rules on that field, and
 //! only those: rows without `host_threads` (the legacy single object
 //! among them) skip the executor gates, and `load_gen` rows without

@@ -65,3 +65,28 @@ pub fn small_corpus(seed: u64, max_weight: u64) -> Vec<(String, Graph)> {
     }
     graphs
 }
+
+/// Asserts that the shared ledger checker (`congest_bench::ledger::check`)
+/// finds no violation in the checked-in ledger `file` under a rule whose
+/// text mentions one of `topics` (every rule when `topics` is empty). The
+/// `*_schema.rs` tests each ask for their part of the rules this way.
+///
+/// # Panics
+/// Panics on such a violation, or if `file` is not a known ledger.
+pub fn assert_ledger_holds(file: &str, topics: &[&str]) {
+    use congest_bench::ledger::check::{check_text, LEDGERS};
+    let (_, check) = LEDGERS
+        .into_iter()
+        .find(|(name, _)| *name == file)
+        .unwrap_or_else(|| panic!("{file} is not a ledger"));
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join(file);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{file} must be checked in at {path:?}: {e}"));
+    let violations: Vec<String> = check_text(file, &text, check)
+        .into_iter()
+        .filter(|v| topics.is_empty() || topics.iter().any(|t| v.contains(t)))
+        .collect();
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}

@@ -1,134 +1,26 @@
-//! Guards the checked-in `BENCH_engine.json` perf trajectory: the file
-//! must stay a JSON array whose records cover the full size matrix
-//! (n ∈ {1k, 10k, 100k, 1M, 10M}) with both executors' medians, so PRs
-//! can't silently shrink the baseline back to a single point, and the
-//! parallel executor must never *lose* to the sequential one on rows
-//! where that claim is testable. (Full JSON parsing is CI's job, via
-//! `python3 -m json`; this test checks the structural skeleton and the
-//! schema markers without a JSON dependency.)
+//! Guards the checked-in `BENCH_engine.json` through the
+//! shared ledger checker (`check_bench`), one part of its rules per test.
 
-use std::path::Path;
+use integration_tests::assert_ledger_holds;
 
-fn bench_json() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCH_engine.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("BENCH_engine.json must be checked in at {path:?}: {e}"))
-}
+const LEDGER: &str = "BENCH_engine.json";
 
 #[test]
 fn baseline_is_an_array_covering_the_size_matrix() {
-    let s = bench_json();
-    let t = s.trim();
-    assert!(
-        t.starts_with('[') && t.ends_with(']'),
-        "multi-size schema is a JSON array of records"
-    );
-    for n in ["\"n\": 1000,", "\"n\": 10000,", "\"n\": 100000,"] {
-        assert!(t.contains(n), "missing size record {n}");
-    }
-    for key in [
-        "\"run\":",
-        "\"run_parallel\":",
-        "\"build\":",
-        "\"threads\":",
-    ] {
-        assert!(t.contains(key), "records must carry {key} medians/metadata");
-    }
-    // Braces and brackets must balance — catches truncated appends.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let opens = t.matches(open).count();
-        let closes = t.matches(close).count();
-        assert_eq!(
-            opens, closes,
-            "unbalanced {open}{close} in BENCH_engine.json"
-        );
-    }
-}
-
-/// Extracts the integer following `"<key>": ` inside `chunk`, if present.
-fn field_u128(chunk: &str, key: &str) -> Option<u128> {
-    let tail = chunk.split(&format!("\"{key}\":")).nth(1)?;
-    let digits: String = tail
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// The PR 8 ledger schema carries `host_threads` (workers the machine
-/// actually had) next to `threads` (workers requested), precisely so this
-/// assertion can be made without lying on oversubscribed hosts: on rows
-/// measured at a single requested worker, `run_parallel` must stay within
-/// 25% of `run` — the executor-dispatch overhead bound whose violation
-/// was the n = 1000 regression this PR fixed (1.06 ms parallel vs 867 µs
-/// sequential in the legacy row, which predates `host_threads` and is
-/// exempt). Rows requesting more workers than the host has measure
-/// context-switching, not the executor, and are likewise exempt (CI
-/// checks those separately, gated on `threads <= host_threads`).
-#[test]
-fn parallel_executor_never_regresses_on_single_worker_rows() {
-    let s = bench_json();
-    let mut checked = 0;
-    for chunk in s.split("\"bench\":").skip(1) {
-        let (Some(threads), Some(host)) = (
-            field_u128(chunk, "threads"),
-            field_u128(chunk, "host_threads"),
-        ) else {
-            continue; // legacy row (pre-host_threads schema)
-        };
-        // Ride-along rows record only an end-to-end total.
-        let (Some(run), Some(par)) = (field_u128(chunk, "run"), field_u128(chunk, "run_parallel"))
-        else {
-            continue;
-        };
-        if threads == 1 && host >= 1 {
-            assert!(
-                par * 100 <= run * 125,
-                "single-worker run_parallel ({par} ns) exceeds run ({run} ns) by more \
-                 than 25% in record: {}",
-                &chunk[..chunk.len().min(400)]
-            );
-            checked += 1;
-        }
-    }
-    assert!(
-        checked >= 3,
-        "expected at least the 1k/10k/100k single-worker rows, found {checked}"
-    );
-}
-
-/// Every new-schema engine row must account for its packed plane
-/// footprint.
-#[test]
-fn engine_rows_record_plane_bytes() {
-    let s = bench_json();
-    for chunk in s.split("\"bench\":").skip(1) {
-        if !chunk.trim_start().starts_with("\"engine_")
-            || field_u128(chunk, "host_threads").is_none()
-        {
-            continue;
-        }
-        let bytes = field_u128(chunk, "plane_bytes")
-            .expect("new-schema engine rows must carry plane_bytes");
-        assert!(bytes > 0, "plane_bytes must be positive");
-    }
+    assert_ledger_holds(LEDGER, &[]);
 }
 
 #[test]
 fn baseline_medians_are_positive_integers() {
-    let s = bench_json();
-    for field in ["\"build\":", "\"run\":", "\"run_parallel\":"] {
-        for chunk in s.split(field).skip(1) {
-            let digits: String = chunk
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            let v: u128 = digits.parse().unwrap_or_else(|_| {
-                panic!("field {field} must be followed by an integer, got {chunk:.20}")
-            });
-            assert!(v > 0, "median {field} must be positive");
-        }
-    }
+    assert_ledger_holds(LEDGER, &["positive integer", "missing field median_ns"]);
+}
+
+#[test]
+fn engine_rows_record_plane_bytes() {
+    assert_ledger_holds(LEDGER, &["plane_bytes", "an engine row with host_threads"]);
+}
+
+#[test]
+fn parallel_executor_never_regresses_on_single_worker_rows() {
+    assert_ledger_holds(LEDGER, &["run_parallel ≤", "single-worker rows"]);
 }

@@ -1,164 +1,38 @@
-//! Guards the checked-in `CHURN_engine.json` ledger: the file must stay
-//! a JSON array whose records cover the full churn grid — ≥ 4 protocols
-//! × all 3 churn axes × all 3 intensities — plus the gnp-10k repair
-//! acceptance rows, with the per-record fields the sweep promises.
-//! (Full JSON parsing is CI's job, via `python3 -m json`; this test
-//! checks the structural skeleton and the schema markers without a JSON
-//! dependency, same as `degradation_schema.rs` does for
-//! `DEGRADATION_engine.json`.)
+//! Guards the checked-in `CHURN_engine.json` through the
+//! shared ledger checker (`check_churn`), one part of its rules per test.
 
-use std::path::Path;
+use integration_tests::assert_ledger_holds;
 
-fn churn_json() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../CHURN_engine.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("CHURN_engine.json must be checked in at {path:?}: {e}"))
-}
+const LEDGER: &str = "CHURN_engine.json";
 
 #[test]
 fn ledger_is_an_array_covering_the_churn_grid() {
-    let s = churn_json();
-    let t = s.trim();
-    assert!(
-        t.starts_with('[') && t.ends_with(']'),
-        "churn ledger is a JSON array of records"
-    );
-    assert!(t.contains("\"suite\": \"churn\""));
-    assert!(t.contains("\"kind\": \"grid\""));
-    assert!(t.contains("\"kind\": \"acceptance\""));
-    for protocol in [
-        "\"protocol\": \"luby_mis\"",
-        "\"protocol\": \"ghaffari_mis\"",
-        "\"protocol\": \"grouped_mwm\"",
-        "\"protocol\": \"maxis_alg2\"",
-    ] {
-        assert!(t.contains(protocol), "missing protocol {protocol}");
-    }
-    for axis in [
-        "\"axis\": \"flip\"",
-        "\"axis\": \"join\"",
-        "\"axis\": \"leave\"",
-        "\"axis\": \"repair\"",
-    ] {
-        assert!(t.contains(axis), "missing churn axis {axis}");
-    }
-    for intensity in [
-        "\"intensity\": \"low\"",
-        "\"intensity\": \"medium\"",
-        "\"intensity\": \"high\"",
-        "\"intensity\": \"k=16\"",
-        "\"intensity\": \"k=64\"",
-        "\"intensity\": \"k=256\"",
-    ] {
-        assert!(t.contains(intensity), "missing intensity {intensity}");
-    }
-    for key in [
-        "\"dose\":",
-        "\"adversary\":",
-        "\"edge_flip_prob\":",
-        "\"node_join_prob\":",
-        "\"node_leave_prob\":",
-        "\"completed\":",
-        "\"safety_ok\":",
-        "\"rounds\":",
-        "\"round_cap\":",
-        "\"edges_flipped\":",
-        "\"nodes_joined\":",
-        "\"nodes_left\":",
-        "\"adversary_dropped\":",
-        "\"deltas\":",
-        "\"repaired\":",
-        "\"repair_rounds\":",
-        "\"recompute_rounds\":",
-        "\"repair_cheaper\":",
-        "\"fingerprint_ok\":",
-    ] {
-        assert!(t.contains(key), "records must carry {key}");
-    }
-    // Acceptance rows mutate once instead of churning per round.
-    assert!(t.contains("\"adversary\": null"), "acceptance rows");
-    // The fingerprint contract is asserted by the sweep; a `false` in
-    // the ledger means someone hand-edited it.
-    assert!(
-        !t.contains("\"fingerprint_ok\": false"),
-        "the overlay-vs-compacted fingerprint contract must hold"
-    );
-    // Braces and brackets must balance — catches truncated appends.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let opens = t.matches(open).count();
-        let closes = t.matches(close).count();
-        assert_eq!(
-            opens, closes,
-            "unbalanced {open}{close} in CHURN_engine.json"
-        );
-    }
+    assert_ledger_holds(LEDGER, &[]);
 }
 
 #[test]
 fn grid_is_dense_enough() {
-    // ≥ 4 protocols × 3 axes × 3 intensities × 2 topologies, plus the
-    // 6 acceptance rows: the checked-in sweep must carry at least one
-    // full matrix's records.
-    let s = churn_json();
-    let grid = s.matches("\"kind\": \"grid\"").count();
-    assert!(
-        grid >= 4 * 3 * 3 * 2,
-        "churn ledger has {grid} grid records; a full grid is {}",
-        4 * 3 * 3 * 2
-    );
-    let acceptance = s.matches("\"kind\": \"acceptance\"").count();
-    assert!(
-        acceptance >= 6,
-        "churn ledger has {acceptance} acceptance rows; a full sweep is 6"
-    );
+    assert_ledger_holds(LEDGER, &["grid records", "acceptance records"]);
 }
 
 #[test]
 fn acceptance_rows_certify_strictly_cheaper_repair() {
-    // Every acceptance record is emitted only after the sweep asserts
-    // `repair_rounds < recompute_rounds`; the ledger must agree.
-    let s = churn_json();
-    for record in s.split("\"kind\": \"acceptance\"").skip(1) {
-        let record = record.split("\"suite\":").next().unwrap();
-        assert!(
-            record.contains("\"repair_cheaper\": true"),
-            "acceptance row lost the strictly-cheaper certificate: {record:.200}"
-        );
-        assert!(
-            record.contains("\"safety_ok\": true"),
-            "acceptance row lost its safety certificate"
-        );
-        assert!(
-            record.contains("\"completed\": true"),
-            "acceptance row lost its completion certificate"
-        );
-    }
+    // Only acceptance rows are held to `completed` and `safety_ok`.
+    assert_ledger_holds(
+        LEDGER,
+        &[
+            "acceptance",
+            "repair_cheaper",
+            "completed is true",
+            "safety_ok is true",
+        ],
+    );
 }
 
 #[test]
 fn counters_are_well_formed() {
-    let s = churn_json();
-    for field in [
-        "\"rounds\":",
-        "\"round_cap\":",
-        "\"edges_flipped\":",
-        "\"nodes_joined\":",
-        "\"nodes_left\":",
-        "\"deltas\":",
-        "\"repaired\":",
-        "\"repair_rounds\":",
-        "\"recompute_rounds\":",
-    ] {
-        for chunk in s.split(field).skip(1) {
-            let digits: String = chunk
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            let v: u64 = digits.parse().unwrap_or_else(|_| {
-                panic!("field {field} must be followed by an integer, got {chunk:.20}")
-            });
-            assert!(v < 10_000_000, "{field} value {v} is implausible");
-        }
-    }
+    assert_ledger_holds(
+        LEDGER,
+        &["must be an integer in 0..10⁷", "rounds ≤ round_cap"],
+    );
 }

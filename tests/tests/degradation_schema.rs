@@ -1,132 +1,24 @@
-//! Guards the checked-in `DEGRADATION_engine.json` ledger: the file must
-//! stay a JSON array whose records cover the full degradation grid —
-//! ≥ 4 protocols × all 6 fault axes × all 3 intensities — with the
-//! per-record fields the sweep promises. (Full JSON parsing is CI's job,
-//! via `python3 -m json`; this test checks the structural skeleton and
-//! the schema markers without a JSON dependency, same as
-//! `quality_schema.rs` does for `QUALITY_engine.json`.)
+//! Guards the checked-in `DEGRADATION_engine.json` through the
+//! shared ledger checker (`check_degradation`), one part of its rules per test.
 
-use std::path::Path;
+use integration_tests::assert_ledger_holds;
 
-fn degradation_json() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../DEGRADATION_engine.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("DEGRADATION_engine.json must be checked in at {path:?}: {e}"))
-}
+const LEDGER: &str = "DEGRADATION_engine.json";
 
 #[test]
 fn ledger_is_an_array_covering_the_degradation_grid() {
-    let s = degradation_json();
-    let t = s.trim();
-    assert!(
-        t.starts_with('[') && t.ends_with(']'),
-        "degradation ledger is a JSON array of records"
-    );
-    assert!(t.contains("\"suite\": \"degradation\""));
-    for protocol in [
-        "\"protocol\": \"luby_mis\"",
-        "\"protocol\": \"ghaffari_mis\"",
-        "\"protocol\": \"grouped_mwm\"",
-        "\"protocol\": \"maxis_alg2\"",
-    ] {
-        assert!(t.contains(protocol), "missing protocol {protocol}");
-    }
-    for axis in [
-        "\"axis\": \"drop\"",
-        "\"axis\": \"delay\"",
-        "\"axis\": \"duplicate\"",
-        "\"axis\": \"corrupt\"",
-        "\"axis\": \"reorder\"",
-        "\"axis\": \"restart\"",
-    ] {
-        assert!(t.contains(axis), "missing fault axis {axis}");
-    }
-    for intensity in [
-        "\"intensity\": \"low\"",
-        "\"intensity\": \"medium\"",
-        "\"intensity\": \"high\"",
-    ] {
-        assert!(t.contains(intensity), "missing intensity {intensity}");
-    }
-    for key in [
-        "\"dose\":",
-        "\"adversary\":",
-        "\"scheduler\":",
-        "\"completed\":",
-        "\"decided_fraction\":",
-        "\"safety_ok\":",
-        "\"ratio\":",
-        "\"ratio_bound\":",
-        "\"bound_ok\":",
-        "\"rounds\":",
-        "\"round_cap\":",
-        "\"delayed\":",
-        "\"duplicated\":",
-        "\"corrupted\":",
-        "\"adversary_dropped\":",
-        "\"crashed\":",
-        "\"restarted\":",
-    ] {
-        assert!(t.contains(key), "records must carry {key}");
-    }
-    // The delay axis runs scheduler-only, every other axis adversary-only
-    // — both null forms must appear.
-    assert!(t.contains("\"adversary\": null"), "delay axis records");
-    assert!(t.contains("\"scheduler\": null"), "adversary axis records");
-    assert!(
-        t.contains("\"max_delay\":"),
-        "scheduler records carry the delay bound"
-    );
-    assert!(
-        t.contains("\"restart_after\": 3"),
-        "restart axis records the revival lag"
-    );
-    // Braces and brackets must balance — catches truncated appends.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let opens = t.matches(open).count();
-        let closes = t.matches(close).count();
-        assert_eq!(
-            opens, closes,
-            "unbalanced {open}{close} in DEGRADATION_engine.json"
-        );
-    }
+    assert_ledger_holds(LEDGER, &[]);
 }
 
 #[test]
 fn grid_is_dense_enough() {
-    // ≥ 4 protocols × ≥ 6 axes × ≥ 3 intensities × 2 topologies: the
-    // checked-in sweep must carry at least one full grid's records.
-    let s = degradation_json();
-    let records = s.matches("\"suite\": \"degradation\"").count();
-    assert!(
-        records >= 4 * 6 * 3 * 2,
-        "degradation ledger has {records} records; a full grid is {}",
-        4 * 6 * 3 * 2
-    );
+    assert_ledger_holds(LEDGER, &["≥ 144 records"]);
 }
 
 #[test]
 fn counters_are_well_formed() {
-    let s = degradation_json();
-    for field in [
-        "\"rounds\":",
-        "\"round_cap\":",
-        "\"delayed\":",
-        "\"duplicated\":",
-        "\"corrupted\":",
-        "\"crashed\":",
-        "\"restarted\":",
-    ] {
-        for chunk in s.split(field).skip(1) {
-            let digits: String = chunk
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            let v: u64 = digits.parse().unwrap_or_else(|_| {
-                panic!("field {field} must be followed by an integer, got {chunk:.20}")
-            });
-            assert!(v < 10_000_000, "{field} value {v} is implausible");
-        }
-    }
+    assert_ledger_holds(
+        LEDGER,
+        &["must be an integer in 0..10⁷", "rounds ≤ round_cap"],
+    );
 }

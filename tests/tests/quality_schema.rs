@@ -1,131 +1,32 @@
-//! Guards the checked-in `QUALITY_engine.json` conformance ledger: the
-//! file must stay a JSON array whose records cover the full scenario
-//! matrix — ≥ 5 topology families × ≥ 3 weight distributions, every
-//! protocol, plus the fault suite — with every conformance record valid
-//! and within its paper bound. (Full JSON parsing is CI's job, via
-//! `python3 -m json`; this test checks the structural skeleton and the
-//! schema markers without a JSON dependency, same as `bench_schema.rs`
-//! does for `BENCH_engine.json`.)
+//! Guards the checked-in `QUALITY_engine.json` through the
+//! shared ledger checker (`check_quality`), one part of its rules per test.
 
-use std::path::Path;
+use integration_tests::assert_ledger_holds;
 
-fn quality_json() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../QUALITY_engine.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("QUALITY_engine.json must be checked in at {path:?}: {e}"))
-}
+const LEDGER: &str = "QUALITY_engine.json";
 
 #[test]
 fn ledger_is_an_array_covering_the_scenario_matrix() {
-    let s = quality_json();
-    let t = s.trim();
-    assert!(
-        t.starts_with('[') && t.ends_with(']'),
-        "quality ledger is a JSON array of records"
-    );
-    for family in [
-        "\"family\": \"gnp\"",
-        "\"family\": \"watts_strogatz\"",
-        "\"family\": \"power_law_cluster\"",
-        "\"family\": \"complete\"",
-        "\"family\": \"path\"",
-        "\"family\": \"star\"",
-    ] {
-        assert!(t.contains(family), "missing topology {family}");
-    }
-    for weights in [
-        "\"weights\": \"unit\"",
-        "\"weights\": \"uniform\"",
-        "\"weights\": \"zipf\"",
-        "\"weights\": \"adversarial\"",
-    ] {
-        assert!(t.contains(weights), "missing weight distribution {weights}");
-    }
-    for protocol in [
-        "\"protocol\": \"luby_mis\"",
-        "\"protocol\": \"ghaffari_mis\"",
-        "\"protocol\": \"maxis_alg2\"",
-        "\"protocol\": \"maxis_alg3\"",
-        "\"protocol\": \"grouped_mwm\"",
-        "\"protocol\": \"fast_mwm_2eps\"",
-        "\"protocol\": \"fast_mcm_2eps\"",
-        "\"protocol\": \"coloring_delta_plus_one\"",
-    ] {
-        assert!(t.contains(protocol), "missing protocol {protocol}");
-    }
-    for suite in ["\"suite\": \"conformance\"", "\"suite\": \"fault\""] {
-        assert!(t.contains(suite), "missing suite {suite}");
-    }
-    for key in [
-        "\"rounds_max\":",
-        "\"round_budget\":",
-        "\"ratio_min\":",
-        "\"ratio_bound\":",
-        "\"oracle\":",
-        "\"drop_prob\":",
-        "\"dup_prob\":",
-        "\"reorder_prob\":",
-        "\"corrupt_prob\":",
-        "\"crash_prob\":",
-        "\"restart_after\":",
-        "\"decided_fraction\":",
-        "\"safety_ok\":",
-    ] {
-        assert!(t.contains(key), "records must carry {key}");
-    }
-    // Braces and brackets must balance — catches truncated appends.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let opens = t.matches(open).count();
-        let closes = t.matches(close).count();
-        assert_eq!(
-            opens, closes,
-            "unbalanced {open}{close} in QUALITY_engine.json"
-        );
-    }
+    assert_ledger_holds(LEDGER, &[]);
 }
 
 #[test]
 fn every_conformance_record_holds_its_bound() {
-    // The harness refuses to write violating records, so the checked-in
-    // trajectory must contain no `false` validity or bound marker —
-    // a hand-edited regression would be caught right here, in tier-1.
-    let s = quality_json();
-    assert!(
-        !s.contains("\"within_bound\": false"),
-        "ledger records a missed approximation bound"
+    assert_ledger_holds(
+        LEDGER,
+        &[
+            "valid",
+            "within_bound",
+            "rounds_max ≤ round_budget",
+            "ratio_min ≥ ratio_bound",
+        ],
     );
-    assert!(
-        !s.contains("\"valid\": false"),
-        "ledger records an invalid protocol output"
-    );
-    assert!(s.contains("\"within_bound\": true"));
 }
 
 #[test]
 fn ratios_and_rounds_are_well_formed() {
-    let s = quality_json();
-    for field in ["\"rounds_max\":", "\"round_budget\":"] {
-        for chunk in s.split(field).skip(1) {
-            let digits: String = chunk
-                .trim_start()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            let v: u64 = digits.parse().unwrap_or_else(|_| {
-                panic!("field {field} must be followed by an integer, got {chunk:.20}")
-            });
-            assert!(v < 1_000_000, "{field} value {v} is implausible");
-        }
-    }
-    for chunk in s.split("\"ratio_min\":").skip(1) {
-        let num: String = chunk
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        let v: f64 = num
-            .parse()
-            .unwrap_or_else(|_| panic!("ratio_min must be a number, got {chunk:.20}"));
-        assert!(v >= 0.0, "negative ratio {v}");
-    }
+    assert_ledger_holds(
+        LEDGER,
+        &["must be an integer in 0..10⁶", "must be a number ≥ 0"],
+    );
 }

@@ -1,131 +1,54 @@
-//! Guards the checked-in `SERVICE_engine.json` ledger: the file must
-//! stay a JSON array whose records cover both record shapes the service
-//! PR ships — the `load_gen` throughput grid (shards × batch size) and
-//! the harness service-oracle grid (topology × weighting × shards) —
-//! with the per-record fields each sweep promises. (Full JSON parsing is
-//! CI's job, via `python3 -m json`; this test checks the structural
-//! skeleton and the schema markers without a JSON dependency, same as
-//! `churn_schema.rs` does for `CHURN_engine.json`.)
+//! Guards the checked-in `SERVICE_engine.json` through the
+//! shared ledger checker (`check_service`), one part of its rules per test.
 
-use std::path::Path;
+use integration_tests::assert_ledger_holds;
 
-fn service_json() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../SERVICE_engine.json");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("SERVICE_engine.json must be checked in at {path:?}: {e}"))
-}
+const LEDGER: &str = "SERVICE_engine.json";
 
 #[test]
 fn ledger_is_an_array_with_both_record_shapes() {
-    let s = service_json();
-    let t = s.trim();
-    assert!(
-        t.starts_with('[') && t.ends_with(']'),
-        "service ledger is a JSON array of records"
-    );
-    assert!(t.contains("\"suite\": \"service\""));
-    assert!(
-        t.contains("\"bench\": \"load_gen\""),
-        "missing the load_gen throughput records"
-    );
-    assert!(
-        t.contains("\"kind\": \"oracle\""),
-        "missing the harness oracle records"
-    );
+    assert_ledger_holds(LEDGER, &[]);
 }
 
 #[test]
 fn load_gen_records_carry_the_throughput_schema() {
-    let s = service_json();
-    for key in [
-        "\"shards\":",
-        "\"max_batch\":",
-        "\"requests\":",
-        "\"responses\":",
-        "\"matching\":",
-        "\"mis\":",
-        "\"independent\":",
-        "\"mate\":",
-        "\"applied\":",
-        "\"overloaded\":",
-        "\"error\":",
-        "\"cache\":",
-        "\"hits\":",
-        "\"misses\":",
-        "\"batches_served\":",
-        "\"max_batch_seen\":",
-        "\"final_fingerprint\":",
-        "\"throughput_rps\":",
-        "\"latency_ns\":",
-        "\"p50\":",
-        "\"p95\":",
-        "\"p99\":",
-    ] {
-        assert!(s.contains(key), "load_gen schema key {key} missing");
-    }
-    // The checked-in grid covers ≥ 1 record per (shards × batch) cell.
-    for marker in [
-        "\"max_batch\": 1,",
-        "\"max_batch\": 16,",
-        "\"shards\": 1,",
-        "\"shards\": 4,",
-    ] {
-        assert!(s.contains(marker), "load_gen grid cell {marker} missing");
-    }
+    assert_ledger_holds(
+        LEDGER,
+        &[
+            "load_gen",
+            "missing field shards",
+            "missing field responses.",
+            "missing field cache.",
+            "missing field final_fingerprint",
+            "response counts sum to requests",
+            "throughput_rps",
+            "latency_ns",
+            "batches_served",
+            "max_batch_seen",
+        ],
+    );
 }
 
 #[test]
 fn oracle_records_cover_the_harness_grid() {
-    let s = service_json();
-    for key in [
-        "\"weights\":",
-        "\"seeds\":",
-        "\"ratio_min\":",
-        "\"ratio_bound\":",
-        "\"oracle\":",
-        "\"mis_ok\":",
-        "\"queries_consistent\":",
-        "\"repair\":",
-        "\"deltas\":",
-        "\"rounds\":",
-        "\"roundtrip_ok\":",
-    ] {
-        assert!(s.contains(key), "oracle schema key {key} missing");
-    }
-    for family in [
-        "\"family\": \"gnp\"",
-        "\"family\": \"watts_strogatz\"",
-        "\"family\": \"power_law_cluster\"",
-        "\"family\": \"complete\"",
-        "\"family\": \"path\"",
-        "\"family\": \"star\"",
-    ] {
-        assert!(s.contains(family), "oracle grid family {family} missing");
-    }
-    for weights in [
-        "\"weights\": \"unit\"",
-        "\"weights\": \"uniform\"",
-        "\"weights\": \"adversarial\"",
-    ] {
-        assert!(
-            s.contains(weights),
-            "oracle grid weighting {weights} missing"
-        );
-    }
-    assert!(
-        s.contains("\"shards\": 3,"),
-        "oracle grid must include a multi-shard cell"
+    assert_ledger_holds(
+        LEDGER,
+        &[
+            "oracle",
+            "missing field weights",
+            "missing field seeds",
+            "missing field repair.rounds",
+            "ratio_min ≥",
+            "repair.deltas",
+            "cache.hits",
+        ],
     );
 }
 
 #[test]
 fn ledger_never_records_a_broken_guarantee() {
-    let s = service_json();
-    // Every boolean guarantee field the two sweeps assert before
-    // ledgering must read true, and the load_gen error counter zero.
-    assert!(!s.contains("\"ok\": false"), "a guarantee field is false");
-    assert!(!s.contains("\"mis_ok\": false"));
-    assert!(!s.contains("\"queries_consistent\": false"));
-    assert!(!s.contains("\"roundtrip_ok\": false"));
-    assert!(s.contains("\"error\": 0"), "load_gen saw error responses");
+    assert_ledger_holds(
+        LEDGER,
+        &["must be not false", "is true", "no error responses"],
+    );
 }
